@@ -47,7 +47,6 @@ from .experiments import (
 )
 from .fgn import (
     FgnCovariance,
-    build_covariance,
     fgn_autocovariance,
     fou_autocovariance_expansion,
     stationary_fou_variance,
@@ -149,7 +148,6 @@ __all__ = [
     "TruncatedTensor",
     "admissible_alpha",
     "averaged_trajectory",
-    "build_covariance",
     "build_shift_gram",
     "conjecture_scan",
     "convergence_diagnostic",

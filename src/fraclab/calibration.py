@@ -19,7 +19,6 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .grids import (
-    STREAM_DRIVER,
     FouParams,
     IncrementVector,
     SamplingGrid,
@@ -28,7 +27,7 @@ from .grids import (
     make_grid,
 )
 from .signatures import lift_level_for_hurst, lift_scalar_path, rough_pvar_distance
-from .simulate import _unit_fgn
+from .simulate import sample_fgn
 
 __all__ = [
     "phi_ratio",
@@ -169,8 +168,7 @@ def convergence_diagnostic(
     if truth.count % stride0:
         raise ValueError("horizon must hold a whole number of delta0 cells")
 
-    rng = seed.rng(STREAM_DRIVER)
-    db = truth.delta**hurst * _unit_fgn(rng, hurst, truth.count)
+    db = sample_fgn(hurst, truth, seed).values
     driver = Trajectory(truth, np.concatenate([[0.0], np.cumsum(db)]))
     x_truth = forward_map(0.0, interpolation_calibration(driver), theta, sigma)
 

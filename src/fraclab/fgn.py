@@ -24,7 +24,6 @@ __all__ = [
     "fgn_autocovariance",
     "unit_autocovariance",
     "FgnCovariance",
-    "build_covariance",
     "fou_autocovariance_expansion",
     "stationary_fou_variance",
 ]
@@ -190,11 +189,6 @@ class FgnCovariance:
                 f"(H={self.hurst}, delta={self.delta}, N={self.size})"
             )
         return mu
-
-
-def build_covariance(hurst: float, delta: float, size: int) -> FgnCovariance:
-    """Convenience constructor for :class:`FgnCovariance`."""
-    return FgnCovariance(hurst, delta, size)
 
 
 def fou_autocovariance_expansion(

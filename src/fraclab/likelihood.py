@@ -21,7 +21,6 @@ import numpy as np
 from .calibration import phi_ratio
 from .fgn import FgnCovariance
 from .grids import FouParams, Trajectory
-from .optimize import golden_section_minimize
 
 __all__ = [
     "FouLikelihood",
@@ -201,18 +200,18 @@ class FouLikelihood:
         trajectory: Trajectory,
         *,
         theta_bounds: tuple[float, float] = (0.0, 10.0),
-        tol: float = 1e-8,
-        coarse: int = 64,
     ) -> ProfileMleResult:
-        """Joint MLE by profiling sigma out.
+        """Joint MLE by profiling sigma out, in closed form.
 
         The profiled likelihood is -N/2 - (N/2) log(Q(theta)/N) with
-        Q(theta) = (D_theta x)' Sigma^{-1} (D_theta x); Q is quadratic in
-        e^{-theta delta}, so the three base quadratic forms are solved once
-        and the 64-point-grid + golden-section search costs O(1) per
-        evaluation.
+        Q(theta) = (D_theta x)' Sigma^{-1} (D_theta x) = q_hh - 2 a q_hl + a^2 q_ll,
+        a convex parabola in a = e^{-theta delta}, which falls as theta rises.
+        Its minimiser a = q_hl/q_ll maps to theta = log(q_ll/q_hl)/delta,
+        clipped to the bounds in theta so the estimate lies exactly in them;
+        q_hl <= 0 puts the optimum at a <= 0, i.e. at the upper bound, and
+        q_ll = 0 (zero lagged data) leaves Q flat, resolved to the lower bound.
         """
-        lo, hi = theta_bounds
+        lo, hi = map(float, theta_bounds)
         if lo < 0 or not hi > lo:
             raise ValueError(f"theta bounds must satisfy 0 <= lo < hi, got {theta_bounds}")
         x = self._values(trajectory)
@@ -226,14 +225,17 @@ class FouLikelihood:
         q_hl = float(lag @ solved_head)
         q_ll = self.cov.quadratic_form(lag)
 
-        def quad(theta: float) -> float:
-            a = math.exp(-theta * delta)
-            return q_hh - 2.0 * a * q_hl + a * a * q_ll
-
-        theta_hat, q_min = golden_section_minimize(quad, lo, hi, tol=tol, coarse=coarse)
+        if q_ll <= 0.0:
+            theta_hat = lo
+        elif q_hl <= 0.0:
+            theta_hat = hi
+        else:
+            theta_hat = min(max(math.log(q_ll / q_hl) / delta, lo), hi)
+        a = math.exp(-theta_hat * delta)
+        q_min = q_hh - 2.0 * a * q_hl + a * a * q_ll
         phi = phi_ratio(theta_hat, delta)
         sigma2 = q_min / (n * phi * phi)
-        if sigma2 <= 0:
+        if not sigma2 > 0:  # also catches NaN from overflowing data
             raise ValueError("degenerate data: profiled variance is not positive")
         sigma_hat = math.sqrt(sigma2)
         loglik = self.log_likelihood(trajectory, theta_hat, sigma_hat)
@@ -281,10 +283,8 @@ def profile_mle(
     hurst: float,
     *,
     theta_bounds: tuple[float, float] = (0.0, 10.0),
-    tol: float = 1e-8,
-    coarse: int = 64,
     cov: FgnCovariance | None = None,
 ) -> ProfileMleResult:
     return _context(trajectory, hurst, cov).profile_mle(
-        trajectory, theta_bounds=theta_bounds, tol=tol, coarse=coarse
+        trajectory, theta_bounds=theta_bounds
     )

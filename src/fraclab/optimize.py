@@ -1,6 +1,5 @@
 """Deterministic one-dimensional minimisation: a coarse uniform grid seeds a
-golden-section refinement.  Shared by the profile likelihood and the
-averaging-loss estimator."""
+golden-section refinement, used by the averaging-loss estimator."""
 
 from __future__ import annotations
 

@@ -184,11 +184,7 @@ def p_variation_norm(values: np.ndarray, p: float) -> float:
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("need at least two sample points")
     n = z.shape[0] - 1
-    best = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        gains = np.linalg.norm(z[j] - z[:j], axis=1) ** p
-        best[j] = np.max(best[:j] + gains)
-    return float(best[n] ** (1.0 / p))
+    return _pvar_sup(lambda j: np.linalg.norm(z[j] - z[:j], axis=1), n, p) ** (1.0 / p)
 
 
 def _pvar_sup(increment_fn, n: int, q: float) -> float:

@@ -3,6 +3,10 @@ fractionally driven Ornstein-Uhlenbeck process, the slow/fast system whose
 slow component approximates fractional Brownian motion, and the two-timescale
 estimation test system.
 
+Every fractional stream comes from one engine: the exact 2n-circulant
+embedding of the fGn covariance at any stream length (i.i.d. normals at
+H = 1/2).
+
 Sampling is deterministic in (parameters, grid, seed): the same inputs always
 reproduce the same values bit for bit.  Replicates draw from independent
 sub-streams derived via :class:`~fraclab.grids.SeedSpec`.
@@ -10,13 +14,14 @@ sub-streams derived via :class:`~fraclab.grids.SeedSpec`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .fgn import FgnCovariance, unit_autocovariance
+from .fgn import unit_autocovariance
 from .grids import (
     STREAM_BROWNIAN,
     STREAM_DRIVER,
@@ -39,79 +44,56 @@ __all__ = [
     "sample_tfe_system",
 ]
 
-# Streams longer than this switch from the O(n^2) triangular multiply to the
-# O(n log n) circulant embedding (both exact; the embedding's eigenvalues are
-# verified non-negative).
-_CIRCULANT_THRESHOLD = 1024
-
 # e^-19 < 1e-8: burn-in long enough that the dropped infinite past is
 # invisible at double precision statistics.
 _BURN_IN_DECADES = 19.0
 
-# Cached per (hurst, n): Cholesky factor below the threshold, circulant
-# eigenvalue roots above it.  Bounded so sweeps over many sizes cannot
-# accumulate unbounded memory.
-_STREAM_CACHE: dict[tuple, np.ndarray] = {}
-_STREAM_CACHE_LIMIT = 16
 
-
-def _cache_get(key, build):
-    cached = _STREAM_CACHE.get(key)
-    if cached is None:
-        if len(_STREAM_CACHE) >= _STREAM_CACHE_LIMIT:
-            _STREAM_CACHE.pop(next(iter(_STREAM_CACHE)))
-        cached = _STREAM_CACHE[key] = build()
-    return cached
-
-
+@functools.lru_cache(maxsize=16)
 def _circulant_roots(hurst: float, n: int) -> np.ndarray:
-    """sqrt of the eigenvalues of the 2n-circulant embedding of the unit-step
-    fGn covariance, in numpy FFT order."""
+    """sqrt of the eigenvalues 0..n of the 2n-circulant embedding of the
+    unit-step fGn covariance (eigenvalues n+1..2n-1 mirror 1..n-1).
 
-    def build() -> np.ndarray:
-        row = unit_autocovariance(hurst, np.arange(n + 1))
-        circ = np.concatenate([row, row[-2:0:-1]])  # length 2n
-        lam = np.fft.fft(circ).real / (2 * n)
-        floor = -1e-8 * lam.max()
-        if lam.min() < floor:
-            raise NumericFailure(
-                f"circulant embedding for fGn (H={hurst}, n={n}) has "
-                f"eigenvalue {lam.min():.3e}; cannot sample exactly"
-            )
-        return np.sqrt(np.clip(lam, 0.0, None))
-
-    return _cache_get(("circ", hurst, n), build)
+    Cached per (hurst, n); bounded so sweeps over many sizes cannot
+    accumulate unbounded memory.
+    """
+    row = unit_autocovariance(hurst, np.arange(n + 1))
+    circ = np.concatenate([row, row[-2:0:-1]])  # length 2n
+    lam = np.fft.rfft(circ).real / (2 * n)
+    floor = -1e-8 * lam.max()
+    if lam.min() < floor:
+        raise NumericFailure(
+            f"circulant embedding for fGn (H={hurst}, n={n}) has "
+            f"eigenvalue {lam.min():.3e}; cannot sample exactly"
+        )
+    roots = np.sqrt(np.clip(lam, 0.0, None))
+    roots.flags.writeable = False
+    return roots
 
 
 def _unit_fgn(rng: np.random.Generator, hurst: float, n: int) -> np.ndarray:
     """One exact unit-step fGn stream of length n.
 
-    H = 1/2 reduces to i.i.d. standard normals.  Short streams multiply the
-    cached triangular factor into an i.i.d. normal vector; long streams use
-    the circulant embedding.
+    H = 1/2 reduces to i.i.d. standard normals.  Every other H uses the
+    2n-circulant embedding (Davies-Harte), exact at every n because its
+    eigenvalues are checked non-negative, drawn as a Hermitian
+    half-spectrum through an inverse real FFT.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
     if hurst == 0.5:
         return rng.standard_normal(n)
-    if n <= _CIRCULANT_THRESHOLD:
-        low = _cache_get(
-            ("chol", hurst, n), lambda: FgnCovariance(hurst, 1.0, n).cholesky
-        )
-        return low @ rng.standard_normal(n)
     roots = _circulant_roots(hurst, n)
-    # Hermitian-symmetric complex normals: indices 0 and n are real, the
-    # upper half mirrors the conjugate of the lower half.  Draw order (real
+    # Complex normals on bins 0..n: bins 0 and n are real.  Draw order (real
     # parts 0..n, then imaginary parts 1..n-1) is part of the contract.
+    # irfft's kernel is the conjugate of the forward FFT's, so the imaginary
+    # parts enter with a minus sign to give the forward-FFT realisation.
     re = rng.standard_normal(n + 1)
     im = rng.standard_normal(n - 1)
-    z = np.empty(2 * n, dtype=complex)
-    z[0] = roots[0] * re[0]
-    z[n] = roots[n] * re[n]
-    half = roots[1:n] / math.sqrt(2.0)
-    z[1:n] = half * (re[1:n] + 1j * im)
-    z[n + 1 :] = np.conj(z[1:n][::-1])
-    return np.fft.fft(z)[:n].real
+    half = re.astype(complex)
+    half[1:n] = (re[1:n] - 1j * im) / math.sqrt(2.0)
+    half *= roots
+    return np.fft.irfft(half, 2 * n)[:n] * (2 * n)
 
 
 def sample_fgn(
@@ -119,27 +101,13 @@ def sample_fgn(
     grid: SamplingGrid,
     seed: SeedSpec,
     *,
-    cov: FgnCovariance | None = None,
     stream: int = STREAM_DRIVER,
 ) -> IncrementVector:
-    """Exact fGn increments at the grid's step, one per cell.
-
-    Pass a prebuilt ``cov`` to reuse its cached factor across replicates
-    (it must match hurst, step and cell count).
-    """
+    """Exact fGn increments at the grid's step, one per cell."""
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     rng = seed.rng(stream)
-    n = grid.count
-    if cov is not None:
-        if (cov.hurst, cov.delta, cov.size) != (hurst, grid.delta, n):
-            raise ValueError(
-                "prebuilt covariance does not match the requested "
-                f"(hurst, delta, size) = ({hurst}, {grid.delta}, {n})"
-            )
-        values = cov.cholesky @ rng.standard_normal(n)
-    else:
-        values = grid.delta**hurst * _unit_fgn(rng, hurst, n)
+    values = grid.delta**hurst * _unit_fgn(rng, hurst, grid.count)
     return IncrementVector(grid, values)
 
 
@@ -291,7 +259,6 @@ def sample_approximate_model(
     *,
     stream: int = STREAM_DRIVER,
     initial: float | None = None,
-    cov: FgnCovariance | None = None,
 ) -> Trajectory:
     """Sample the discrete chain the quasi-likelihood is exact for:
 
@@ -317,7 +284,7 @@ def sample_approximate_model(
         burn = math.ceil(_BURN_IN_DECADES / u)
         x0 = 0.0
     extended = SamplingGrid(delta=delta, count=burn + grid.count)
-    db = sample_fgn(hurst, extended, seed, stream=stream, cov=cov).values
+    db = sample_fgn(hurst, extended, seed, stream=stream).values
 
     decay = math.exp(-u)
     rest, _ = lfilter(

@@ -39,6 +39,31 @@ def central_difference(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def naive_circulant_fgn(rng: np.random.Generator, hurst: float, n: int) -> np.ndarray:
+    """Unit-step fGn of length n by the textbook Davies-Harte recipe: the
+    full 2n-circulant eigenvalues by a forward FFT, a fully mirrored
+    Hermitian vector of complex normals, and a forward FFT of it.
+
+    Draws n+1 real parts (bins 0..n), then n-1 imaginary parts (bins
+    1..n-1).
+    """
+    k = np.arange(n + 1, dtype=float)
+    a = 2.0 * hurst
+    row = 0.5 * (np.abs(k + 1) ** a - 2.0 * np.abs(k) ** a + np.abs(k - 1) ** a)
+    circ = np.concatenate([row, row[-2:0:-1]])
+    lam = np.fft.fft(circ).real / (2 * n)
+    assert lam.min() > -1e-12 * lam.max()
+    roots = np.sqrt(np.clip(lam, 0.0, None))
+    re = rng.standard_normal(n + 1)
+    im = rng.standard_normal(n - 1)
+    z = np.empty(2 * n, dtype=complex)
+    z[0] = roots[0] * re[0]
+    z[n] = roots[n] * re[n]
+    z[1:n] = roots[1:n] * (re[1:n] + 1j * im) / np.sqrt(2.0)
+    z[n + 1 :] = np.conj(z[1:n][::-1])
+    return np.fft.fft(z)[:n].real
+
+
 def exhaustive_p_variation(values: np.ndarray, p: float) -> float:
     """p-variation by enumerating every node partition (2^(N-1) subsets)."""
     z = np.asarray(values, dtype=float)

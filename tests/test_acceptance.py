@@ -89,7 +89,7 @@ def test_02_whitened_quadratic_form_is_chi_squared():
         base = SeedSpec(202 if hurst == 0.3 else 707)
         q = np.empty(replicates)
         for r in range(replicates):
-            db = sigma * sample_fgn(hurst, grid, base.child(r), cov=cov).values
+            db = sigma * sample_fgn(hurst, grid, base.child(r)).values
             traj = Trajectory(grid, np.concatenate([[0.0], np.cumsum(db)]))
             q[r] = count * sigma2_hat(traj, hurst, cov=cov) / sigma**2
         mean_gap = abs(q.mean() - count)

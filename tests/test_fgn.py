@@ -6,7 +6,6 @@ import scipy.integrate as sint
 
 from fraclab import (
     FgnCovariance,
-    build_covariance,
     fgn_autocovariance,
     fou_autocovariance_expansion,
     stationary_fou_variance,
@@ -137,9 +136,6 @@ class TestFgnCovariance:
     def test_invalid_hurst_rejected(self, hurst):
         with pytest.raises(ValueError):
             FgnCovariance(hurst, 1.0, 8)
-
-    def test_build_covariance_convenience(self):
-        assert build_covariance(0.7, 1.0, 8).size == 8
 
 
 class TestFouAutocovarianceExpansion:

@@ -182,6 +182,29 @@ class TestProfileMle:
             ctx.log_likelihood(traj, fit.theta_hat, fit.sigma_hat), rel=1e-15
         )
 
+    def test_theta_score_vanishes_exactly(self):
+        # the closed form lands on the interior stationary point itself,
+        # not within a search tolerance of it
+        for seed in range(9, 19):
+            grid, traj = make_path(seed, 0.05, 200)
+            ctx = FouLikelihood(0.7, grid)
+            fit = ctx.profile_mle(traj)
+            assert 0.0 < fit.theta_hat < 10.0
+            assert abs(ctx.score(traj, fit.theta_hat, fit.sigma_hat).d_theta) < 1e-10
+
+    def test_bounds_cutting_off_the_optimum_are_hit_exactly(self):
+        grid, traj = make_path(9, 0.05, 200)
+        ctx = FouLikelihood(0.7, grid)
+        free = ctx.profile_mle(traj).theta_hat
+        below = ctx.profile_mle(traj, theta_bounds=(0.0, 0.5 * free))
+        above = ctx.profile_mle(traj, theta_bounds=(2.0 * free, 10.0))
+        assert below.theta_hat == 0.5 * free
+        assert above.theta_hat == 2.0 * free
+        for fit in (below, above):
+            assert fit.sigma2_hat == pytest.approx(
+                ctx.profile_sigma2(traj, fit.theta_hat), rel=1e-12
+            )
+
     def test_beats_parameter_grid(self):
         grid, traj = make_path(10, 0.05, 150)
         ctx = FouLikelihood(0.7, grid)
@@ -220,6 +243,11 @@ class TestProfileMle:
         flat = Trajectory(grid, np.zeros(21))
         with pytest.raises(ValueError, match="degenerate"):
             profile_mle(flat, 0.7)
+        # quadratic forms overflowing to inf/NaN must not yield a NaN fit
+        huge = Trajectory(grid, 1e200 * np.arange(21.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="degenerate"):
+                profile_mle(huge, 0.7)
 
     def test_bounds_validation(self):
         grid, traj = make_path(13, 0.1, 20)

@@ -9,7 +9,6 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from fraclab import (
-    FgnCovariance,
     FouParams,
     MultiscaleParams,
     SamplingGrid,
@@ -23,6 +22,7 @@ from fraclab import (
     stationary_fou_variance,
 )
 from fraclab.grids import STREAM_BROWNIAN, STREAM_DRIVER
+from oracles import naive_circulant_fgn
 
 
 def pooled_autocovariance(rows: np.ndarray, lag: int) -> float:
@@ -62,26 +62,20 @@ class TestDeterminism:
 
 
 class TestSampleFgn:
-    def test_prebuilt_cov_matches_default_path(self):
-        # the default path scales a unit-step draw by delta^H; a prebuilt
-        # covariance factors the delta-step matrix directly.  Same stream,
-        # same law, equal up to factorization round-off.
-        grid = SamplingGrid(delta=0.2, count=64)
-        seed = SeedSpec(3)
-        cov = FgnCovariance(0.7, 0.2, 64)
-        a = sample_fgn(0.7, grid, seed).values
-        b = sample_fgn(0.7, grid, seed, cov=cov).values
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
-
-    def test_prebuilt_cov_mismatch_rejected(self):
-        grid = SamplingGrid(delta=0.2, count=64)
-        seed = SeedSpec(3)
-        with pytest.raises(ValueError, match="does not match"):
-            sample_fgn(0.7, grid, seed, cov=FgnCovariance(0.7, 0.2, 32))
-        with pytest.raises(ValueError, match="does not match"):
-            sample_fgn(0.7, grid, seed, cov=FgnCovariance(0.6, 0.2, 64))
-        with pytest.raises(ValueError, match="does not match"):
-            sample_fgn(0.7, grid, seed, cov=FgnCovariance(0.7, 0.1, 64))
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    @pytest.mark.parametrize("count", [1, 2, 5, 1025])
+    def test_matches_naive_circulant_embedding(self, hurst, count):
+        # the half-spectrum inverse real FFT gives the same realisation as
+        # the full mirrored spectrum through a forward FFT; this pins the
+        # draw order and the sign of the imaginary parts
+        delta, seed = 0.2, SeedSpec(8)
+        got = sample_fgn(hurst, SamplingGrid(delta=delta, count=count), seed).values
+        expected = delta**hurst * naive_circulant_fgn(
+            seed.rng(STREAM_DRIVER), hurst, count
+        )
+        np.testing.assert_allclose(
+            got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+        )
 
     def test_hurst_half_is_scaled_white_noise(self):
         # at H = 1/2 the increments are the raw normal stream times
@@ -100,16 +94,12 @@ class TestSampleFgn:
 
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
     def test_small_n_covariance(self, hurst):
-        # Cholesky branch (n <= 1024): pooled lag-0/1/2 moments across
-        # 3000 replicates of length 64 against the analytic autocovariance.
-        # Tolerances sit near 5 standard errors of the pooled estimator.
+        # short streams: pooled lag-0/1/2 moments across 3000 replicates of
+        # length 64 against the analytic autocovariance.  Tolerances sit
+        # near 5 standard errors of the pooled estimator.
         grid = SamplingGrid(delta=1.0, count=64)
-        cov = FgnCovariance(hurst, 1.0, 64)
         rows = np.stack(
-            [
-                sample_fgn(hurst, grid, SeedSpec(42, r), cov=cov).values
-                for r in range(3000)
-            ]
+            [sample_fgn(hurst, grid, SeedSpec(42, r)).values for r in range(3000)]
         )
         gamma = fgn_autocovariance(hurst, 1.0, 2)
         for lag in range(3):
@@ -117,7 +107,7 @@ class TestSampleFgn:
 
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
     def test_large_n_covariance(self, hurst):
-        # circulant branch (n > 1024): same pooled-moment comparison
+        # long streams: same pooled-moment comparison
         grid = SamplingGrid(delta=1.0, count=2000)
         rows = np.stack(
             [sample_fgn(hurst, grid, SeedSpec(17, r)).values for r in range(60)]
@@ -128,7 +118,7 @@ class TestSampleFgn:
 
     def test_delta_scaling_between_branches(self):
         # increments at step delta have variance delta^(2H) times the unit
-        # one on both branches; quick pooled-variance version
+        # one whatever the stream length; quick pooled-variance version
         hurst, delta = 0.7, 0.01
         small = SamplingGrid(delta=delta, count=512)
         rows = np.stack(
@@ -195,23 +185,6 @@ class TestApproximateModel:
         for col in (0, -1):
             v = float(np.mean(rows[:, col] ** 2))
             assert abs(v / var_stat - 1.0) < 0.10
-
-    def test_prebuilt_cov_must_cover_burn_in(self):
-        # theta > 0 without an explicit start prepends a burn-in window, so
-        # a prebuilt covariance must match the extended grid
-        theta, delta = 1.0, 0.5
-        burn = math.ceil(19.0 / (theta * delta))
-        grid = SamplingGrid(delta=delta, count=10)
-        params = FouParams(theta=theta, sigma=1.0, hurst=0.7)
-        seed = SeedSpec(4)
-        with pytest.raises(ValueError, match="does not match"):
-            sample_approximate_model(
-                params, grid, seed, cov=FgnCovariance(0.7, delta, 10)
-            )
-        right = FgnCovariance(0.7, delta, burn + 10)
-        with_cov = sample_approximate_model(params, grid, seed, cov=right).values
-        without = sample_approximate_model(params, grid, seed).values
-        np.testing.assert_allclose(with_cov, without, rtol=1e-9, atol=1e-12)
 
 
 class TestStationaryFou:
