@@ -3,9 +3,10 @@ fractionally driven Ornstein-Uhlenbeck process, the slow/fast system whose
 slow component approximates fractional Brownian motion, and the two-timescale
 estimation test system.
 
-Every fractional stream comes from one engine: the exact 2n-circulant
-embedding of the fGn covariance at any stream length (i.i.d. normals at
-H = 1/2).
+Every fractional stream comes from one engine: the exact 2m-circulant
+embedding of the fGn covariance at the 5-smooth half-size
+m = ``scipy.fft.next_fast_len(n, real=True)`` >= n, truncated to the first n
+samples (i.i.d. normals at H = 1/2).
 
 Sampling is deterministic in (parameters, grid, seed): the same inputs always
 reproduce the same values bit for bit.  Replicates draw from independent
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.signal import lfilter
 
 from .fgn import unit_autocovariance
@@ -50,20 +52,21 @@ _BURN_IN_DECADES = 19.0
 
 
 @functools.lru_cache(maxsize=16)
-def _circulant_roots(hurst: float, n: int) -> np.ndarray:
-    """sqrt of the eigenvalues 0..n of the 2n-circulant embedding of the
-    unit-step fGn covariance (eigenvalues n+1..2n-1 mirror 1..n-1).
+def _circulant_roots(hurst: float, m: int) -> np.ndarray:
+    """sqrt of the eigenvalues 0..m of the 2m-circulant embedding of the
+    unit-step fGn covariance (eigenvalues m+1..2m-1 mirror 1..m-1).
 
-    Cached per (hurst, n); bounded so sweeps over many sizes cannot
-    accumulate unbounded memory.
+    Cached per (hurst, m), so stream lengths that round up to the same m
+    share an entry; bounded so sweeps over many sizes cannot accumulate
+    unbounded memory.
     """
-    row = unit_autocovariance(hurst, np.arange(n + 1))
-    circ = np.concatenate([row, row[-2:0:-1]])  # length 2n
-    lam = np.fft.rfft(circ).real / (2 * n)
+    row = unit_autocovariance(hurst, np.arange(m + 1))
+    circ = np.concatenate([row, row[-2:0:-1]])  # length 2m
+    lam = np.fft.rfft(circ).real / (2 * m)
     floor = -1e-8 * lam.max()
     if lam.min() < floor:
         raise NumericFailure(
-            f"circulant embedding for fGn (H={hurst}, n={n}) has "
+            f"circulant embedding for fGn (H={hurst}, m={m}) has "
             f"eigenvalue {lam.min():.3e}; cannot sample exactly"
         )
     roots = np.sqrt(np.clip(lam, 0.0, None))
@@ -75,25 +78,28 @@ def _unit_fgn(rng: np.random.Generator, hurst: float, n: int) -> np.ndarray:
     """One exact unit-step fGn stream of length n.
 
     H = 1/2 reduces to i.i.d. standard normals.  Every other H uses the
-    2n-circulant embedding (Davies-Harte), exact at every n because its
-    eigenvalues are checked non-negative, drawn as a Hermitian
-    half-spectrum through an inverse real FFT.
+    2m-circulant embedding (Davies-Harte) at the 5-smooth half-size
+    m = next_fast_len(n, real=True) >= n, drawn as a Hermitian half-spectrum
+    through an inverse real FFT.  It is exact because its eigenvalues are
+    checked non-negative, and the first n samples of a length-m fGn stream
+    are a length-n fGn stream.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
     if hurst == 0.5:
         return rng.standard_normal(n)
-    roots = _circulant_roots(hurst, n)
-    # Complex normals on bins 0..n: bins 0 and n are real.  Draw order (real
-    # parts 0..n, then imaginary parts 1..n-1) is part of the contract.
+    m = next_fast_len(n, real=True)
+    roots = _circulant_roots(hurst, m)
+    # Complex normals on bins 0..m: bins 0 and m are real.  Draw order (real
+    # parts 0..m, then imaginary parts 1..m-1) is part of the contract.
     # irfft's kernel is the conjugate of the forward FFT's, so the imaginary
     # parts enter with a minus sign to give the forward-FFT realisation.
-    re = rng.standard_normal(n + 1)
-    im = rng.standard_normal(n - 1)
+    re = rng.standard_normal(m + 1)
+    im = rng.standard_normal(m - 1)
     half = re.astype(complex)
-    half[1:n] = (re[1:n] - 1j * im) / math.sqrt(2.0)
+    half[1:m] = (re[1:m] - 1j * im) / math.sqrt(2.0)
     half *= roots
-    return np.fft.irfft(half, 2 * n)[:n] * (2 * n)
+    return np.fft.irfft(half, 2 * m)[:n] * (2 * m)
 
 
 def sample_fgn(

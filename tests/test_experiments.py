@@ -30,6 +30,29 @@ CHEAP_EXPANSION = {
     "grid.horizon": "1.0",
 }
 
+# parameter overrides that make each experiment run in well under a second
+TINY_PARAMS = {
+    "bias-sweep": {"grid.horizon": "0.5"},
+    "calibration-convergence": {"cal.levels": "3", "grid.horizon": "2.0"},
+    "clt": {"model.epsilon": "1e-3", "grid.horizon": "0.5", "sim.max_substeps": "16"},
+    "conjecture-scan": {"scan.sizes": "8, 16", "scan.k_max": "4"},
+    "consistency-rate": {"sweep.eps_log2": "-4, -5", "grid.horizon": "1.0"},
+    "expansion-residual": CHEAP_EXPANSION,
+    "hurst-sweep": {"grid.count": "64"},
+    "score-consistency": {"grid.horizon": "1.0", "sweep.deltas": "0.1, 0.05"},
+    "signature-check": {},
+    "tfe-sweep": {
+        "grid.delta": "0.1",
+        "grid.horizon": "0.5",
+        "model.epsilon_small": "1e-3",
+        "sweep.schedule_eps": "0.01",
+        "sweep.schedule_eta": "0.01",
+        "sweep.eta_levels": "0.01",
+        "sweep.avg_eps_log2": "-4",
+        "sim.refine": "2",
+    },
+}
+
 
 class TestParseConfig:
     def test_minimal(self):
@@ -251,6 +274,24 @@ class TestRunConfig:
         )
         assert serial.rows == threaded.rows
         assert serial.summary == threaded.summary
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    @pytest.mark.filterwarnings("ignore:One or more sample arguments is too small")
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_serial_and_parallel_outputs_are_byte_identical(self, name, tmp_path):
+        # compare the written bytes, not the dicts: a NaN in the summary
+        # (clt's normality p-value below 8 replicates) never equals itself
+        written = []
+        for threads in (1, 2):
+            result = run_config(
+                ExperimentConfig(
+                    experiment=name, seed=5, replicates=3, threads=threads,
+                    params=dict(TINY_PARAMS[name]),
+                )
+            )
+            csv_path, json_path = write_outputs(result, tmp_path / f"{threads}.csv")
+            written.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert written[0] == written[1]
 
     def test_failure_carries_replicate_context(self):
         # a zero initial state makes the fitting loss exactly flat

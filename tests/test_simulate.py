@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.linalg import toeplitz
 from scipy.special import gamma as gamma_fn
 
 from fraclab import (
@@ -21,6 +23,7 @@ from fraclab import (
     sample_tfe_system,
     stationary_fou_variance,
 )
+from fraclab import simulate
 from fraclab.grids import STREAM_BROWNIAN, STREAM_DRIVER
 from oracles import naive_circulant_fgn
 
@@ -63,19 +66,49 @@ class TestDeterminism:
 
 class TestSampleFgn:
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
-    @pytest.mark.parametrize("count", [1, 2, 5, 1025])
+    @pytest.mark.parametrize("count", [1, 2, 5, 7, 1025])
     def test_matches_naive_circulant_embedding(self, hurst, count):
         # the half-spectrum inverse real FFT gives the same realisation as
         # the full mirrored spectrum through a forward FFT; this pins the
-        # draw order and the sign of the imaginary parts
+        # draw order, the sign of the imaginary parts and the embedding
+        # half-size m = next_fast_len(count): 7 pads to 8 and 1025 to 1080,
+        # while the 5-smooth counts 1, 2 and 5 embed at m = count
         delta, seed = 0.2, SeedSpec(8)
         got = sample_fgn(hurst, SamplingGrid(delta=delta, count=count), seed).values
         expected = delta**hurst * naive_circulant_fgn(
-            seed.rng(STREAM_DRIVER), hurst, count
+            seed.rng(STREAM_DRIVER), hurst, count, next_fast_len(count, real=True)
         )
         np.testing.assert_allclose(
             got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
         )
+
+    def test_only_smooth_fft_lengths(self, monkeypatch):
+        # every transform the sampler runs has length 2 next_fast_len(n),
+        # with no prime factor above 5 (2n = 2^7 3 2731 at n = 524352)
+        lengths = []
+
+        def recording(fft, length):
+            def wrapped(a, n=None, *args, **kwargs):
+                lengths.append(length(a) if n is None else n)
+                return fft(a, n, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft, len))
+        monkeypatch.setattr(
+            np.fft, "irfft", recording(np.fft.irfft, lambda a: 2 * (len(a) - 1))
+        )
+        for count in (1, 7, 1025, 5551, 524352):
+            simulate._circulant_roots.cache_clear()
+            lengths.clear()
+            sample_fgn(0.7, SamplingGrid(delta=1.0, count=count), SeedSpec(3))
+            assert len(lengths) == 2
+            for length in lengths:
+                assert length == 2 * next_fast_len(count, real=True)
+                for p in (2, 3, 5):
+                    while length % p == 0:
+                        length //= p
+                assert length == 1, f"count {count}: prime factor above 5"
 
     def test_hurst_half_is_scaled_white_noise(self):
         # at H = 1/2 the increments are the raw normal stream times
@@ -100,6 +133,34 @@ class TestSampleFgn:
         grid = SamplingGrid(delta=1.0, count=64)
         rows = np.stack(
             [sample_fgn(hurst, grid, SeedSpec(42, r)).values for r in range(3000)]
+        )
+        gamma = fgn_autocovariance(hurst, 1.0, 2)
+        for lag in range(3):
+            assert abs(pooled_autocovariance(rows, lag) - gamma[lag]) < 0.03
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    def test_padded_full_covariance(self, hurst):
+        # n = 7 embeds at m = 8 and keeps the first 7 samples: the full 7x7
+        # sample covariance of 20000 replicates against the Toeplitz matrix
+        # of the analytic autocovariance, entrywise within 5 standard errors
+        count, reps = 7, 20000
+        grid = SamplingGrid(delta=1.0, count=count)
+        rows = np.stack(
+            [sample_fgn(hurst, grid, SeedSpec(71, r)).values for r in range(reps)]
+        )
+        sample_cov = rows.T @ rows / reps
+        cov = toeplitz(fgn_autocovariance(hurst, 1.0, count - 1))
+        var = np.diag(cov)
+        stderr = np.sqrt((np.outer(var, var) + cov**2) / reps)
+        assert np.all(np.abs(sample_cov - cov) < 5.0 * stderr)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    def test_padded_small_n_covariance(self, hurst):
+        # n = 67 embeds at m = 72: pooled lag-0/1/2 moments as in the
+        # unpadded small-n test
+        grid = SamplingGrid(delta=1.0, count=67)
+        rows = np.stack(
+            [sample_fgn(hurst, grid, SeedSpec(43, r)).values for r in range(3000)]
         )
         gamma = fgn_autocovariance(hurst, 1.0, 2)
         for lag in range(3):
