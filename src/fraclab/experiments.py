@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -278,13 +278,6 @@ def _substeps_arg(params: dict) -> int | None:
     return None if cap == 0 else int(cap)
 
 
-@lru_cache(maxsize=8)
-def _cov_cached(hurst: float, delta: float, size: int) -> FgnCovariance:
-    cov = FgnCovariance(hurst, delta, size)
-    cov.cholesky  # force the factorisation into the cache entry
-    return cov
-
-
 def _slope(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs)."""
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
@@ -318,7 +311,7 @@ def _rep_bias_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
     hurst = params["model.hurst"]
     delta = params["grid.delta"]
     grid = make_grid(delta, params["grid.horizon"])
-    cov = _cov_cached(hurst, grid.delta, grid.count)
+    cov = FgnCovariance(hurst, grid.delta, grid.count)
     rows = []
     for i, ratio in enumerate(params["sweep.ratios"]):
         eps = ratio * delta
@@ -413,7 +406,7 @@ def _rep_consistency_rate(params: dict, seed: SeedSpec) -> list[ResultRow]:
             max_substeps=_substeps_arg(params),
             stream=3 * i,
         )
-        cov = _cov_cached(hurst, grid.delta, grid.count)
+        cov = FgnCovariance(hurst, grid.delta, grid.count)
         value = estimators.sigma2_hat(sample.slow, hurst, cov=cov)
         rows.append(
             ResultRow(
@@ -481,7 +474,7 @@ def _rep_clt(params: dict, seed: SeedSpec) -> list[ResultRow]:
         refine=params["sim.refine"],
         max_substeps=_substeps_arg(params),
     )
-    cov = _cov_cached(hurst, grid.delta, grid.count)
+    cov = FgnCovariance(hurst, grid.delta, grid.count)
     value = estimators.sigma2_hat(sample.slow, hurst, cov=cov)
     return [
         ResultRow(
@@ -553,7 +546,7 @@ def _rep_score_consistency(params: dict, seed: SeedSpec) -> list[ResultRow]:
                 stream=stream,
             )
             stream += 1
-            lik = FouLikelihood(hurst, grid, cov=_cov_cached(hurst, grid.delta, grid.count))
+            lik = FouLikelihood(hurst, grid, cov=FgnCovariance(hurst, grid.delta, grid.count))
             sc = lik.score(x, theta, sigma)
             common = dict(
                 experiment="score-consistency",
@@ -610,7 +603,7 @@ def _rep_expansion_residual(params: dict, seed: SeedSpec) -> list[ResultRow]:
         x = sample_approximate_model(
             FouParams(theta=theta, sigma=sigma, hurst=hurst), grid, seed, stream=i
         )
-        lik = FouLikelihood(hurst, grid, cov=_cov_cached(hurst, grid.delta, grid.count))
+        lik = FouLikelihood(hurst, grid, cov=FgnCovariance(hurst, grid.delta, grid.count))
         terms = lik.expansion_terms(x, theta, sigma)
         rows.append(
             ResultRow(
@@ -722,18 +715,14 @@ _SCAN_DEFAULTS = {
 }
 
 
-def _scan_report(params: dict) -> traces.ScanReport:
-    return traces.conjecture_scan(
+def _rep_conjecture_scan(params: dict, seed: SeedSpec) -> list[ResultRow]:
+    report = traces.conjecture_scan(
         params["scan.hursts"],
         params["scan.sizes"],
         params["scan.k_max"],
         growth_factor=params["tol.growth_factor"],
         max_size=params["scan.max_size"],
     )
-
-
-def _rep_conjecture_scan(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    report = _scan_report(params)
     rows = []
     for cell in report.cells:
         n = cell.size
@@ -763,8 +752,40 @@ def _rep_conjecture_scan(params: dict, seed: SeedSpec) -> list[ResultRow]:
     return rows
 
 
+_SCAN_STATISTIC = re.compile(r"(trace|pair)\[N=(\d+);k=(\d+)(?:;l=(\d+))?\]")
+
+
+def _scan_cells(rows: list[ResultRow]) -> list[traces.ConjectureCell]:
+    """The scan's cells, rebuilt in scan order from the first replicate's
+    rows (each cell's rows open with its trace at k = 0)."""
+    tables = []
+    for row in rows:
+        if row.replicate != rows[0].replicate:
+            continue
+        kind, n, k, l = _SCAN_STATISTIC.fullmatch(row.statistic).groups()
+        if kind == "trace" and k == "0":
+            tables.append((row.hurst, int(n), [], {}))
+        _, _, trace_values, pairs = tables[-1]
+        if kind == "trace":
+            trace_values.append(row.value)
+        else:
+            pairs[int(k), int(l)] = pairs[int(l), int(k)] = row.value
+    return [
+        traces.ConjectureCell(
+            hurst=hurst,
+            size=n,
+            shifts=np.arange(len(values)),
+            traces=np.array(values),
+            pair_traces=np.array(
+                [[pairs[k, l] for l in range(len(values))] for k in range(len(values))]
+            ),
+        )
+        for hurst, n, values, pairs in tables
+    ]
+
+
 def _sum_conjecture_scan(params: dict, rows: list[ResultRow]) -> dict:
-    report = _scan_report(params)
+    report = traces.scan_report(_scan_cells(rows), params["tol.growth_factor"])
     cells = [
         {
             "hurst": float(c.hurst),
@@ -1197,12 +1218,27 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=config, params=params, rows=rows, summary=summary)
 
 
+def _strict_json(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_outputs(result: ExperimentResult, out) -> tuple[Path, Path]:
-    """CSV table at ``out`` plus a machine-readable JSON summary sidecar."""
+    """CSV table at ``out`` plus a machine-readable JSON summary sidecar.
+
+    The sidecar is strict JSON: a non-finite summary value (a test statistic
+    undefined at too few replicates) is written as null."""
     csv_path = Path(out)
     write_csv(result.rows, csv_path)
     json_path = csv_path.with_suffix(".summary.json")
-    json_path.write_text(
-        json.dumps(result.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    text = json.dumps(
+        _strict_json(result.summary), indent=2, sort_keys=True, allow_nan=False
     )
+    json_path.write_text(text + "\n", encoding="utf-8")
     return csv_path, json_path

@@ -1,7 +1,8 @@
 """Autocovariance of fractional Gaussian noise and the Toeplitz machinery
-built on it: covariance matrices, Cholesky-based quadratic forms, inverse
-spectral norms, and the power-law expansion of the stationary
-Ornstein-Uhlenbeck autocovariance under fractional driving.
+built on it: a Gohberg-Semencul operator for the inverse covariance
+(solves and quadratic forms by FFT in O(N) memory), its spectral norm, and
+the power-law expansion of the stationary Ornstein-Uhlenbeck
+autocovariance under fractional driving.
 
 The increment autocovariance at step delta and lag k is
 
@@ -13,9 +14,11 @@ so gamma(0) = delta^(2H) and, for H = 1/2, gamma(k) = 0 for every k >= 1
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
-from scipy import linalg as sla
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy import fft as sfft
 from scipy.special import gamma as gamma_fn
 
 from .grids import NumericFailure
@@ -78,12 +81,79 @@ def fgn_autocovariance(hurst: float, delta: float, max_lag: int) -> np.ndarray:
     return delta ** (2.0 * hurst) * unit
 
 
-class FgnCovariance:
-    """Toeplitz covariance of N consecutive fGn increments at step delta.
+def _durbin(
+    first_row: np.ndarray, shift: float = 0.0
+) -> tuple[np.ndarray | None, int | None]:
+    """Durbin's recursion on T - shift * I, T symmetric Toeplitz with first
+    row ``first_row``, in O(N^2) time and O(N) memory.
 
-    Factorisations are cached: the lower Cholesky factor is computed once on
-    first use and reused by every quadratic form / solve.  The inverse matrix
-    is never formed.
+    T - shift * I is positive definite exactly when every reflection
+    coefficient has |kappa_k| < 1.  Returns ``(x, None)`` with
+    x = (T - shift * I)^{-1} e_1 then, else ``(None, k)`` with k the first
+    order at which |kappa_k| >= 1 (0 when the diagonal is not positive).
+    """
+    row = np.asarray(first_row, dtype=float)
+    t0 = row[0] - shift
+    if not t0 > 0:
+        return None, 0
+    rho = row[1:] / t0
+    rev = rho[::-1]
+    m = rho.size
+    y = np.empty(m)  # Yule-Walker solution of the leading order-k block
+    beta = 1.0  # prod (1 - kappa_j^2): the normalised prediction error
+    for k in range(m):
+        kappa = -(rho[k] + rev[m - k :] @ y[:k]) / beta
+        if not abs(kappa) < 1.0:
+            return None, k + 1
+        if k:
+            y[:k] += kappa * y[k - 1 :: -1]
+        y[k] = kappa
+        beta *= 1.0 - kappa * kappa
+    return np.concatenate(([1.0], y)) / (t0 * beta), None
+
+
+class _Generator(NamedTuple):
+    """x0 * Sigma_1^{-1} = L(x) L(x)^T - L(y) L(y)^T (Gohberg & Semencul
+    1972), with x = Sigma_1^{-1} e_1, y = (0, x_{N-1}, ..., x_1) and L(v)
+    lower-triangular Toeplitz with first column v.  x and y are held as
+    real FFTs at a length >= 2N - 1, so no product wraps around."""
+
+    x0: float
+    x_hat: np.ndarray
+    y_hat: np.ndarray
+    fft_len: int
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_generator(hurst: float, size: int) -> _Generator:
+    """The read-only generator at unit step: Sigma_delta = delta^(2H)
+    Sigma_1, so every step shares one entry and only scales results."""
+    x, order = _durbin(unit_autocovariance(hurst, np.arange(size)))
+    if x is None:
+        raise NumericFailure(
+            f"fGn covariance (H={hurst}, N={size}) is not numerically positive "
+            f"definite: Durbin's reflection coefficient of order {order} "
+            f"has modulus >= 1"
+        )
+    y = np.zeros(size)
+    y[1:] = x[:0:-1]
+    fft_len = sfft.next_fast_len(2 * size - 1, real=True)
+    x_hat = sfft.rfft(x, fft_len)
+    y_hat = sfft.rfft(y, fft_len)
+    x_hat.flags.writeable = False
+    y_hat.flags.writeable = False
+    return _Generator(float(x[0]), x_hat, y_hat, fft_len)
+
+
+# bisection on lambda_min stops at this width relative to its upper end
+_LAMBDA_MIN_RTOL = 1e-13
+
+
+class FgnCovariance:
+    """Toeplitz covariance Sigma of N consecutive fGn increments at step delta.
+
+    Solves and quadratic forms are a few real FFTs through the generator in
+    ``cholesky``; neither Sigma nor its inverse is formed, so memory is O(N).
     """
 
     def __init__(self, hurst: float, delta: float, size: int):
@@ -93,102 +163,83 @@ class FgnCovariance:
         self.delta = float(delta)
         self.size = int(size)
         self.first_row = fgn_autocovariance(hurst, delta, size - 1)
-        self._matrix: np.ndarray | None = None
-        self._chol: np.ndarray | None = None
+        self._chol: _Generator | None = None
 
     @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = sla.toeplitz(self.first_row)
-        return self._matrix
-
-    @property
-    def cholesky(self) -> np.ndarray:
-        """Lower-triangular L with L L^T = Sigma."""
+    def cholesky(self) -> _Generator:
+        """The Gohberg-Semencul generator of the unit-step inverse (see
+        ``_Generator``): a triangular-Toeplitz J-factorisation held as O(N)
+        FFT data, not a dense factor.  Built once per (hurst, N) by Durbin's
+        recursion; NumericFailure, naming the failing order, when Sigma is
+        not numerically positive definite."""
         if self._chol is None:
-            try:
-                self._chol = sla.cholesky(self.matrix, lower=True)
-            except sla.LinAlgError as exc:
-                raise NumericFailure(
-                    f"fGn covariance (H={self.hurst}, delta={self.delta}, "
-                    f"N={self.size}) is not numerically positive definite: {exc}"
-                ) from exc
+            self._chol = _unit_generator(self.hurst, self.size)
         return self._chol
 
+    def _scale(self, gen: _Generator) -> float:
+        # Sigma_delta^{-1} = delta^(-2H) Sigma_1^{-1}
+        return self.delta ** (-2.0 * self.hurst) / gen.x0
+
+    def _transposed(self, gen: _Generator, rhs: np.ndarray):
+        """L(x)^T rhs and L(y)^T rhs along axis 0."""
+        shape = (-1,) + (1,) * (rhs.ndim - 1)
+        rhs_hat = sfft.rfft(rhs, gen.fft_len, axis=0)
+        return tuple(
+            sfft.irfft(
+                np.conj(v_hat).reshape(shape) * rhs_hat, gen.fft_len, axis=0
+            )[: self.size]
+            for v_hat in (gen.x_hat, gen.y_hat)
+        )
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} rhs via two triangular solves (rhs may be a matrix)."""
+        """Sigma^{-1} rhs by four triangular-Toeplitz products (rhs may be
+        a matrix; columns are solved independently)."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.size:
+        if rhs.ndim == 0 or rhs.shape[0] != self.size:
             raise ValueError(
-                f"rhs has leading dimension {rhs.shape[0]}, expected {self.size}"
+                f"rhs has shape {rhs.shape}, expected leading dimension {self.size}"
             )
-        low = self.cholesky
-        tmp = sla.solve_triangular(low, rhs, lower=True)
-        return sla.solve_triangular(low, tmp, lower=True, trans="T")
+        gen = self.cholesky
+        shape = (-1,) + (1,) * (rhs.ndim - 1)
+        a, b = self._transposed(gen, rhs)
+        m = gen.fft_len
+        out_hat = gen.x_hat.reshape(shape) * sfft.rfft(a, m, axis=0)
+        out_hat -= gen.y_hat.reshape(shape) * sfft.rfft(b, m, axis=0)
+        return sfft.irfft(out_hat, m, axis=0)[: self.size] * self._scale(gen)
+
+    def _vector(self, w: np.ndarray, name: str) -> np.ndarray:
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.size,):
+            raise ValueError(f"{name} must have shape ({self.size},), got {w.shape}")
+        return w
 
     def quadratic_form(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
-        """u^T Sigma^{-1} v (v defaults to u), via triangular solves only."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.size,):
-            raise ValueError(f"u must have shape ({self.size},), got {u.shape}")
-        low = self.cholesky
-        a = sla.solve_triangular(low, u, lower=True)
+        """u^T Sigma^{-1} v (v defaults to u) as
+        (<L(x)^T u, L(x)^T v> - <L(y)^T u, L(y)^T v>) delta^(-2H) / x0."""
+        gen = self.cholesky
+        au, bu = self._transposed(gen, self._vector(u, "u"))
         if v is None:
-            return float(a @ a)
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.size,):
-            raise ValueError(f"v must have shape ({self.size},), got {v.shape}")
-        b = sla.solve_triangular(low, v, lower=True)
-        return float(a @ b)
+            av, bv = au, bu
+        else:
+            av, bv = self._transposed(gen, self._vector(v, "v"))
+        return float((au @ av - bu @ bv) * self._scale(gen))
 
-    def inverse_spectral_norm(self, tol: float = 1e-10, max_iter: int = 20_000) -> float:
-        """||Sigma^{-1}||_2 = 1 / lambda_min(Sigma).
-
-        Dense symmetric eigensolve up to size 2048; beyond that, Lanczos
-        iteration on Sigma^{-1} through the cached factorisation (the
-        bottom of the Toeplitz spectrum clusters, so plain power iteration
-        would stall).
-        """
-        if self.size <= 2048:
-            lam_min = sla.eigvalsh(
-                self.matrix, subset_by_index=[0, 0], driver="evr"
-            )[0]
-            if lam_min <= 0:
-                raise NumericFailure(
-                    f"minimum eigenvalue {lam_min} is not positive "
-                    f"(H={self.hurst}, delta={self.delta}, N={self.size})"
-                )
-            return 1.0 / lam_min
-        op = LinearOperator(
-            (self.size, self.size), matvec=self.solve, dtype=float
-        )
-        rng = np.random.default_rng(0)
-        try:
-            vals = eigsh(
-                op,
-                k=1,
-                which="LM",
-                tol=tol,
-                maxiter=max_iter,
-                v0=rng.standard_normal(self.size),
-                # the extremes of the Toeplitz spectrum cluster, so restarted
-                # Lanczos needs a generous subspace to converge
-                ncv=min(self.size, 128),
-                return_eigenvectors=False,
-            )
-        except ArpackNoConvergence as exc:
-            raise NumericFailure(
-                f"Lanczos iteration on the inverse covariance did not "
-                f"converge to {tol} within {max_iter} restarts "
-                f"(N={self.size}): {exc}"
-            ) from exc
-        mu = float(vals[0])
-        if mu <= 0:
-            raise NumericFailure(
-                f"computed inverse spectral norm {mu} is not positive "
-                f"(H={self.hurst}, delta={self.delta}, N={self.size})"
-            )
-        return mu
+    def inverse_spectral_norm(self) -> float:
+        """||Sigma^{-1}||_2 = 1 / lambda_min(Sigma), one path at every N:
+        lambda_min of the unit-step matrix is bisected on mu in
+        (0, gamma(0)] with Durbin's recursion on Sigma_1 - mu * I as the only
+        test, to a relative width of 1e-13, then scaled by delta^(2H)
+        (Cybenko & Van Loan, SIAM J. Sci. Stat. Comput. 7, 1986)."""
+        self.cholesky  # NumericFailure unless Sigma is positive definite
+        row = unit_autocovariance(self.hurst, np.arange(self.size))
+        lo, hi = 0.0, float(row[0])
+        while hi - lo > _LAMBDA_MIN_RTOL * hi:
+            mid = 0.5 * (lo + hi)
+            if _durbin(row, mid)[0] is None:
+                hi = mid
+            else:
+                lo = mid
+        return 1.0 / (self.delta ** (2.0 * self.hurst) * 0.5 * (lo + hi))
 
 
 def fou_autocovariance_expansion(

@@ -29,6 +29,7 @@ __all__ = [
     "cross_covariance_window",
     "shift_gram_stack",
     "conjecture_scan",
+    "scan_report",
     "q_moment",
 ]
 
@@ -88,18 +89,16 @@ def build_shift_gram(
 def shift_gram_stack(
     hurst: float, size: int, k_max: int, *, cov: FgnCovariance | None = None
 ) -> np.ndarray:
-    """All G^{k,0} for k = 0..k_max as one (k_max + 1, size, size) array,
-    using a single factorisation and one batched solve."""
+    """All G^{k,0} for k = 0..k_max as one (k_max + 1, size, size) array:
+    Sigma^{-1} is formed once by solving the identity, then applied to every
+    window by one batched GEMM."""
     if not 0 <= k_max <= size:
         raise ValueError(f"k_max must lie in [0, {size}], got {k_max}")
     if cov is None:
         cov = FgnCovariance(hurst, 1.0, size)
     big = _big_covariance(hurst, size)
     windows = np.stack([big[k : k + size, :size] for k in range(k_max + 1)])
-    # solve for all windows in one shot: stack blocks side by side
-    flat = np.concatenate(list(windows), axis=1)
-    solved = cov.solve(flat)
-    return np.stack(np.split(solved, k_max + 1, axis=1))
+    return cov.solve(np.eye(size)) @ windows
 
 
 @dataclass(frozen=True)
@@ -188,39 +187,50 @@ def conjecture_scan(
     if growth_factor <= 0:
         raise ValueError(f"growth_factor must be positive, got {growth_factor}")
 
-    cells: list[ConjectureCell] = []
+    cells = [
+        _scan_cell(hurst, n, min(k_max, n)) for hurst in hursts for n in sizes
+    ]
+    return scan_report(cells, growth_factor)
+
+
+def scan_report(
+    cells: Sequence[ConjectureCell], growth_factor: float = 1.5
+) -> ScanReport:
+    """Check scanned cells for the boundedness evidence: Tr(A_0) = N to
+    1e-6 relative in every cell and, from each cell to the next one of the
+    same hurst at a larger size, maxima that grow by at most
+    ``growth_factor``."""
     flags: list[str] = []
-    for hurst in hursts:
-        per_size: list[ConjectureCell] = []
-        for n in sizes:
-            cell = _scan_cell(hurst, n, min(k_max, n))
-            per_size.append(cell)
-            cells.append(cell)
-            rel = abs(cell.trace_zero - n) / n
-            if rel > 1e-6:
+    for prev, cur in zip([None, *cells], cells):
+        n = cur.size
+        rel = abs(cur.trace_zero - n) / n
+        if rel > 1e-6:
+            flags.append(
+                f"identity check failed: H={cur.hurst} N={n} Tr(A_0)={cur.trace_zero!r} "
+                f"(relative error {rel:.3e})"
+            )
+        if prev is None or prev.hurst != cur.hurst or prev.size >= cur.size:
+            continue
+        for label, lo_val, hi_val in (
+            ("max|Tr(A_k)|", prev.max_abs_trace, cur.max_abs_trace),
+            (
+                "max|Tr(A_k A_l)|",
+                prev.max_abs_pair_trace,
+                cur.max_abs_pair_trace,
+            ),
+        ):
+            # the tiny floor keeps exactly-zero tables (hurst 1/2) from
+            # flagging on roundoff noise
+            if hi_val > growth_factor * max(lo_val, 1e-8):
                 flags.append(
-                    f"identity check failed: H={hurst} N={n} Tr(A_0)={cell.trace_zero!r} "
-                    f"(relative error {rel:.3e})"
+                    "potential counterexample: "
+                    f"H={prev.hurst} {label} grew {prev.size}->{cur.size} "
+                    f"from {lo_val:.6g} to {hi_val:.6g} "
+                    f"(factor > {growth_factor})"
                 )
-        for prev, cur in zip(per_size, per_size[1:]):
-            for label, lo_val, hi_val in (
-                ("max|Tr(A_k)|", prev.max_abs_trace, cur.max_abs_trace),
-                (
-                    "max|Tr(A_k A_l)|",
-                    prev.max_abs_pair_trace,
-                    cur.max_abs_pair_trace,
-                ),
-            ):
-                # the tiny floor keeps exactly-zero tables (hurst 1/2) from
-                # flagging on roundoff noise
-                if hi_val > growth_factor * max(lo_val, 1e-8):
-                    flags.append(
-                        "potential counterexample: "
-                        f"H={prev.hurst} {label} grew {prev.size}->{cur.size} "
-                        f"from {lo_val:.6g} to {hi_val:.6g} "
-                        f"(factor > {growth_factor})"
-                    )
-    return ScanReport(cells=cells, growth_factor=growth_factor, counterexamples=flags)
+    return ScanReport(
+        cells=list(cells), growth_factor=growth_factor, counterexamples=flags
+    )
 
 
 @dataclass(frozen=True)

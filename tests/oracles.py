@@ -10,6 +10,12 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 import numpy as np
+import scipy.linalg as sla
+
+
+def dense_covariance(cov) -> np.ndarray:
+    """The dense Toeplitz matrix of an FgnCovariance, built from its first row."""
+    return sla.toeplitz(cov.first_row)
 
 
 def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from fraclab import (
     sample_fgn,
     sigma2_hat,
 )
-from oracles import dense_quadratic
+from oracles import dense_covariance, dense_quadratic
 
 
 def fbm_trajectory(hurst, grid, seed, sigma=1.0):
@@ -44,7 +44,7 @@ class TestSigma2Hat:
         rng = np.random.default_rng(1)
         traj = Trajectory(grid, np.cumsum(rng.standard_normal(25)))
         dx = np.diff(traj.values)
-        sigma_mat = FgnCovariance(0.7, 0.1, 24).matrix
+        sigma_mat = dense_covariance(FgnCovariance(0.7, 0.1, 24))
         expected = dense_quadratic(sigma_mat, dx) / 24
         assert sigma2_hat(traj, 0.7) == pytest.approx(expected, rel=1e-10)
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fraclab import NumericFailure
+from fraclab import NumericFailure, conjecture_scan
 from fraclab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -362,3 +362,54 @@ class TestWriteOutputs:
         summary = json.loads(json_path.read_text())
         assert summary["experiment"] == "expansion-residual"
         assert summary == json.loads(json.dumps(result.summary))
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    @pytest.mark.filterwarnings("ignore:One or more sample arguments is too small")
+    @pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide")
+    @pytest.mark.parametrize("replicates", [1, 3])
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_summary_is_strict_json(self, name, replicates, tmp_path):
+        # statistics undefined at few replicates (a standard error of one
+        # value, a normality test of three) are written as null, never NaN
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        result = run_config(
+            ExperimentConfig(
+                experiment=name, seed=5, replicates=replicates,
+                params=dict(TINY_PARAMS[name]),
+            )
+        )
+        _, json_path = write_outputs(result, tmp_path / "res.csv")
+        json.loads(json_path.read_text(), parse_constant=reject)
+
+
+class TestConjectureScanSummary:
+    def test_summary_from_rows_equals_a_fresh_scan(self):
+        params = {"scan.sizes": "8, 16, 32", "scan.k_max": "4", "scan.hursts": "0.3, 0.5"}
+        result = run_config(
+            ExperimentConfig(experiment="conjecture-scan", replicates=2, params=params)
+        )
+        report = conjecture_scan((0.3, 0.5), (8, 16, 32), 4, growth_factor=1.5)
+        fresh = {
+            "growth_factor": report.growth_factor,
+            "cells": [
+                {
+                    "hurst": c.hurst,
+                    "size": c.size,
+                    "trace_zero": c.trace_zero,
+                    "max_abs_trace": c.max_abs_trace,
+                    "max_abs_pair_trace": c.max_abs_pair_trace,
+                }
+                for c in report.cells
+            ],
+            "counterexamples": report.counterexamples,
+            "ok": report.ok,
+        }
+        summary = {
+            key: value
+            for key, value in result.summary.items()
+            if key not in ("experiment", "seed", "replicates")
+        }
+        assert json.dumps(summary, sort_keys=True) == json.dumps(fresh, sort_keys=True)

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate as sint
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraclab import (
     FgnCovariance,
@@ -11,7 +14,9 @@ from fraclab import (
     stationary_fou_variance,
     unit_autocovariance,
 )
-from oracles import dense_quadratic, dense_solve
+from fraclab import fgn
+from fraclab.grids import NumericFailure
+from oracles import dense_covariance, dense_quadratic, dense_solve
 
 
 class TestUnitAutocovariance:
@@ -63,13 +68,13 @@ class TestUnitAutocovariance:
 
 class TestFgnCovariance:
     def test_self_similarity_scaling(self):
-        base = FgnCovariance(0.7, 1.0, 16).matrix
-        scaled = FgnCovariance(0.7, 0.01, 16).matrix
+        base = dense_covariance(FgnCovariance(0.7, 1.0, 16))
+        scaled = dense_covariance(FgnCovariance(0.7, 0.01, 16))
         np.testing.assert_allclose(scaled, 0.01 ** (2 * 0.7) * base, rtol=1e-12)
 
     def test_matrix_is_toeplitz_and_spd(self):
         cov = FgnCovariance(0.3, 0.5, 32)
-        m = cov.matrix
+        m = dense_covariance(cov)
         for k in range(32):
             diag = np.diagonal(m, k)
             np.testing.assert_allclose(diag, diag[0], rtol=1e-14)
@@ -81,7 +86,7 @@ class TestFgnCovariance:
             cov = FgnCovariance(h, 0.1, 24)
             rhs = rng.standard_normal(24)
             np.testing.assert_allclose(
-                cov.solve(rhs), dense_solve(cov.matrix, rhs), rtol=1e-9, atol=1e-12
+                cov.solve(rhs), dense_solve(dense_covariance(cov), rhs), rtol=1e-9, atol=1e-12
             )
 
     def test_solve_accepts_matrix_rhs(self):
@@ -89,7 +94,7 @@ class TestFgnCovariance:
         cov = FgnCovariance(0.7, 1.0, 16)
         rhs = rng.standard_normal((16, 5))
         np.testing.assert_allclose(
-            cov.solve(rhs), dense_solve(cov.matrix, rhs), rtol=1e-9, atol=1e-12
+            cov.solve(rhs), dense_solve(dense_covariance(cov), rhs), rtol=1e-9, atol=1e-12
         )
 
     def test_quadratic_form_matches_dense_oracle(self):
@@ -98,16 +103,16 @@ class TestFgnCovariance:
         u = rng.standard_normal(20)
         v = rng.standard_normal(20)
         assert cov.quadratic_form(u) == pytest.approx(
-            dense_quadratic(cov.matrix, u), rel=1e-9
+            dense_quadratic(dense_covariance(cov), u), rel=1e-9
         )
         assert cov.quadratic_form(u, v) == pytest.approx(
-            dense_quadratic(cov.matrix, u, v), rel=1e-9
+            dense_quadratic(dense_covariance(cov), u, v), rel=1e-9
         )
 
     def test_inverse_spectral_norm_dense_oracle(self):
         for h in (0.3, 0.7):
             cov = FgnCovariance(h, 1.0, 64)
-            expected = 1.0 / np.linalg.eigvalsh(cov.matrix).min()
+            expected = 1.0 / np.linalg.eigvalsh(dense_covariance(cov)).min()
             assert cov.inverse_spectral_norm() == pytest.approx(expected, rel=1e-8)
 
     def test_inverse_spectral_norm_exact_at_half(self):
@@ -117,11 +122,14 @@ class TestFgnCovariance:
             assert cov.inverse_spectral_norm() == pytest.approx(1.0 / delta, rel=1e-12)
 
     def test_lanczos_branch_agrees_with_dense_path(self):
-        # force the iterative branch by exceeding the dense cutoff
+        # a size past the old dense/iterative cutoff of 2048: the bisection
+        # has one path at every N, checked here against a dense eigensolve
         import scipy.linalg as sla
 
         cov_big = FgnCovariance(0.7, 1.0, 2050)
-        lam_min = sla.eigvalsh(cov_big.matrix, subset_by_index=[0, 0], driver="evr")[0]
+        lam_min = sla.eigvalsh(
+            dense_covariance(cov_big), subset_by_index=[0, 0], driver="evr"
+        )[0]
         assert cov_big.inverse_spectral_norm() == pytest.approx(
             1.0 / lam_min, rel=1e-6
         )
@@ -136,6 +144,114 @@ class TestFgnCovariance:
     def test_invalid_hurst_rejected(self, hurst):
         with pytest.raises(ValueError):
             FgnCovariance(hurst, 1.0, 8)
+
+
+operator_cases = st.tuples(
+    st.integers(1, 512),
+    st.floats(0.02, 0.98),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _case(case):
+    size, hurst, delta, seed = case
+    return FgnCovariance(hurst, delta, size), np.random.default_rng(seed)
+
+
+class TestGeneratorOperator:
+    """The Gohberg-Semencul operator against dense oracles."""
+
+    @given(operator_cases)
+    def test_solve_matches_dense_solve(self, case):
+        cov, rng = _case(case)
+        dense = dense_covariance(cov)
+        for rhs in (rng.standard_normal(cov.size), rng.standard_normal((cov.size, 3))):
+            want = dense_solve(dense, rhs)
+            np.testing.assert_allclose(
+                cov.solve(rhs), want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
+            )
+
+    @given(operator_cases)
+    def test_quadratic_forms_match_dense(self, case):
+        cov, rng = _case(case)
+        dense = dense_covariance(cov)
+        u = rng.standard_normal(cov.size)
+        v = rng.standard_normal(cov.size)
+        quu, qvv = dense_quadratic(dense, u), dense_quadratic(dense, v)
+        assert cov.quadratic_form(u) == pytest.approx(quu, rel=1e-9)
+        # u'S^{-1}v may be near zero, so compare on its Cauchy-Schwarz scale
+        assert cov.quadratic_form(u, v) == pytest.approx(
+            dense_quadratic(dense, u, v), abs=1e-9 * math.sqrt(quu * qvv)
+        )
+
+    @given(operator_cases)
+    def test_solve_is_self_similar(self, case):
+        cov, rng = _case(case)
+        unit = FgnCovariance(cov.hurst, 1.0, cov.size)
+        rhs = rng.standard_normal(cov.size)
+        np.testing.assert_allclose(
+            cov.solve(rhs),
+            cov.delta ** (-2 * cov.hurst) * unit.solve(rhs),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 2048, 2049])
+    def test_inverse_spectral_norm_matches_eigvalsh(self, size):
+        import scipy.linalg as sla
+
+        cov = FgnCovariance(0.7, 0.5, size)
+        lam_min = sla.eigvalsh(
+            dense_covariance(cov), subset_by_index=[0, 0], driver="evr"
+        )[0]
+        assert cov.inverse_spectral_norm() == pytest.approx(1.0 / lam_min, rel=1e-11)
+
+    def test_inverse_spectral_norm_interlaces(self):
+        # Cauchy interlacing: lambda_min cannot rise when a row is added
+        small = FgnCovariance(0.7, 1.0, 2048).inverse_spectral_norm()
+        assert FgnCovariance(0.7, 1.0, 2049).inverse_spectral_norm() >= small
+
+    def test_durbin_reports_singular_order(self):
+        x, order = fgn._durbin(np.array([1.0, 1.0, 1.0]))
+        assert x is None and order == 1
+
+    def test_singular_covariance_raises_numeric_failure(self, monkeypatch):
+        monkeypatch.setattr(fgn, "unit_autocovariance", lambda h, lags: np.ones(len(lags)))
+        fgn._unit_generator.cache_clear()
+        try:
+            cov = FgnCovariance(0.6, 1.0, 3)
+            with pytest.raises(NumericFailure, match="H=0.6, N=3.*order 1 "):
+                cov.solve(np.ones(3))
+        finally:
+            fgn._unit_generator.cache_clear()
+
+    def test_numerically_indefinite_covariance_raises(self):
+        # near H = 1 the unit covariance tends to the all-ones matrix
+        with pytest.raises(NumericFailure, match="not numerically positive definite"):
+            FgnCovariance(1.0 - 1e-12, 1.0, 1024).quadratic_form(np.ones(1024))
+
+    def test_memory_is_linear_in_size(self):
+        size = 4096
+        rhs = np.random.default_rng(3).standard_normal(size)
+        fgn._unit_generator.cache_clear()
+        tracemalloc.start()
+        try:
+            cov = FgnCovariance(0.7, 0.01, size)
+            cov.solve(rhs)
+            cov.quadratic_form(rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense matrix alone would be 8 N^2 = 134 MB
+        assert peak < 64 * size * 8
+
+    def test_steps_share_one_generator(self):
+        fgn._unit_generator.cache_clear()
+        a = FgnCovariance(0.7, 0.01, 100)
+        b = FgnCovariance(0.7, 2.5, 100)
+        assert a.cholesky is b.cholesky
+        info = fgn._unit_generator.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestFouAutocovarianceExpansion:

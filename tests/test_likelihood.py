@@ -21,7 +21,7 @@ from fraclab import (
     sample_approximate_model,
     score,
 )
-from oracles import central_difference, gaussian_loglik
+from oracles import central_difference, dense_covariance, gaussian_loglik
 
 
 def make_path(seed: int, delta: float, count: int, hurst=0.7, theta=1.0, sigma=1.0):
@@ -53,7 +53,7 @@ class TestLogLikelihood:
         phi = -math.expm1(-u) / u
         x = traj.values
         quasi = x[1:] - math.exp(-u) * x[:-1]
-        sigma_mat = FgnCovariance(hurst, grid.delta, grid.count).matrix
+        sigma_mat = dense_covariance(FgnCovariance(hurst, grid.delta, grid.count))
         full = gaussian_loglik(quasi, sigma**2 * phi**2 * sigma_mat)
         _, logdet = np.linalg.slogdet(sigma_mat)
         expected = full + 0.5 * logdet + 0.5 * grid.count * math.log(2 * math.pi)
