@@ -51,6 +51,7 @@ from .fgn import (
     fou_autocovariance_expansion,
     stationary_fou_variance,
     unit_autocovariance,
+    unit_fou_autocovariance,
 )
 from .grids import (
     FouParams,
@@ -95,6 +96,7 @@ from .simulate import (
     sample_approximate_model,
     sample_fgn,
     sample_physical_fbm,
+    sample_slow_component,
     sample_stationary_fou,
     sample_tfe_system,
 )
@@ -181,6 +183,7 @@ __all__ = [
     "sample_approximate_model",
     "sample_fgn",
     "sample_physical_fbm",
+    "sample_slow_component",
     "sample_stationary_fou",
     "sample_tfe_system",
     "score",
@@ -197,6 +200,7 @@ __all__ = [
     "tfe_estimate",
     "tfe_loss",
     "unit_autocovariance",
+    "unit_fou_autocovariance",
     "write_csv",
     "write_outputs",
     "__version__",

@@ -26,6 +26,7 @@ from .experiments import (
     format_float,
     load_config,
     run_config,
+    summary_json,
     write_csv,
     write_outputs,
 )
@@ -43,6 +44,7 @@ from .simulate import (
     sample_approximate_model,
     sample_fgn,
     sample_physical_fbm,
+    sample_slow_component,
     sample_stationary_fou,
     sample_tfe_system,
 )
@@ -140,13 +142,14 @@ def _cmd_simulate(args) -> int:
             refine=args.refine, max_substeps=cap,
         )
     elif args.model == "physical-fbm":
-        sample = sample_physical_fbm(
-            MultiscaleParams(sigma=args.sigma, hurst=args.hurst, epsilon=args.epsilon),
-            grid, seed, refine=args.refine, max_substeps=cap,
-        )
-        trajectory = {"slow": sample.slow, "fast": sample.fast, "driver": sample.driver}[
-            args.component
-        ]
+        params = MultiscaleParams(sigma=args.sigma, hurst=args.hurst, epsilon=args.epsilon)
+        if args.component == "slow":  # exact at the nodes; needs no sub-grid
+            trajectory = sample_slow_component(params, grid, seed)
+        else:
+            sample = sample_physical_fbm(
+                params, grid, seed, refine=args.refine, max_substeps=cap
+            )
+            trajectory = {"fast": sample.fast, "driver": sample.driver}[args.component]
     elif args.model == "tfe":
         sample = sample_tfe_system(
             args.theta, args.eta, args.epsilon, args.hurst, grid, seed,
@@ -273,7 +276,7 @@ def _cmd_signature_check(args) -> int:
     result = run_config(config)
     if args.out:
         write_outputs(result, args.out)
-    print(json.dumps(result.summary, indent=2, sort_keys=True))
+    print(summary_json(result.summary))
     return 0
 
 
@@ -313,7 +316,7 @@ def _cmd_experiment(args) -> int:
     if config.out:
         csv_path, json_path = write_outputs(result, config.out)
         print(f"wrote {csv_path} and {json_path}", file=sys.stderr)
-    print(json.dumps(result.summary, indent=2, sort_keys=True))
+    print(summary_json(result.summary))
     return 0
 
 

@@ -38,7 +38,7 @@ from .likelihood import FouLikelihood
 from .signatures import pwl_signature, shuffle_residual, tensor_multiply
 from .simulate import (
     sample_approximate_model,
-    sample_physical_fbm,
+    sample_slow_component,
     sample_tfe_system,
 )
 from .tfe import TfeInstance, averaged_trajectory, sup_node_error, tfe_estimate
@@ -57,6 +57,7 @@ __all__ = [
     "write_csv",
     "read_csv",
     "write_outputs",
+    "summary_json",
 ]
 
 
@@ -257,9 +258,6 @@ def _check_value(key: str, value) -> None:
                   "max_size", "dimension"):
         if any(v < 1 for v in seq):
             raise ConfigError(f"key '{key}' must be >= 1, got {value}")
-    elif base == "max_substeps":
-        if any(v < 0 for v in seq):
-            raise ConfigError(f"key '{key}' must be >= 0 (0 = uncapped), got {value}")
 
 
 def _resolve_params(name: str, defaults: dict, raw: dict) -> dict:
@@ -271,11 +269,6 @@ def _resolve_params(name: str, defaults: dict, raw: dict) -> dict:
     for key, value in params.items():
         _check_value(key, value)
     return params
-
-
-def _substeps_arg(params: dict) -> int | None:
-    cap = params.get("sim.max_substeps", 0)
-    return None if cap == 0 else int(cap)
 
 
 def _slope(xs, ys) -> float:
@@ -301,8 +294,6 @@ _BIAS_DEFAULTS = {
     "grid.delta": 0.005,
     "grid.horizon": 10.0,
     "sweep.ratios": (0.1, 1.0, 10.0),
-    "sim.refine": 16,
-    "sim.max_substeps": 256,
 }
 
 
@@ -315,15 +306,13 @@ def _rep_bias_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
     rows = []
     for i, ratio in enumerate(params["sweep.ratios"]):
         eps = ratio * delta
-        sample = sample_physical_fbm(
+        slow = sample_slow_component(
             MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
             grid,
             seed,
-            refine=params["sim.refine"],
-            max_substeps=_substeps_arg(params),
             stream=3 * i,
         )
-        value = estimators.sigma2_hat(sample.slow, hurst, cov=cov)
+        value = estimators.sigma2_hat(slow, hurst, cov=cov)
         rows.append(
             ResultRow(
                 experiment="bias-sweep",
@@ -384,8 +373,6 @@ _RATE_DEFAULTS = {
     "sweep.alpha": 0.5,
     "sweep.eps_log2": (-4, -5, -6, -7, -8, -9, -10),
     "grid.horizon": 10.0,
-    "sim.refine": 16,
-    "sim.max_substeps": 512,
 }
 
 
@@ -398,16 +385,14 @@ def _rep_consistency_rate(params: dict, seed: SeedSpec) -> list[ResultRow]:
         eps = 2.0**lev
         delta = eps**alpha
         grid = make_grid(delta, params["grid.horizon"])
-        sample = sample_physical_fbm(
+        slow = sample_slow_component(
             MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
             grid,
             seed,
-            refine=params["sim.refine"],
-            max_substeps=_substeps_arg(params),
             stream=3 * i,
         )
         cov = FgnCovariance(hurst, grid.delta, grid.count)
-        value = estimators.sigma2_hat(sample.slow, hurst, cov=cov)
+        value = estimators.sigma2_hat(slow, hurst, cov=cov)
         rows.append(
             ResultRow(
                 experiment="consistency-rate",
@@ -455,8 +440,6 @@ _CLT_DEFAULTS = {
     "model.epsilon": 2.5e-5,
     "sweep.alpha": 0.5,
     "grid.horizon": 10.0,
-    "sim.refine": 16,
-    "sim.max_substeps": 256,
 }
 
 
@@ -467,15 +450,13 @@ def _rep_clt(params: dict, seed: SeedSpec) -> list[ResultRow]:
     alpha = params["sweep.alpha"]
     delta = eps**alpha
     grid = make_grid(delta, params["grid.horizon"])
-    sample = sample_physical_fbm(
+    slow = sample_slow_component(
         MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
         grid,
         seed,
-        refine=params["sim.refine"],
-        max_substeps=_substeps_arg(params),
     )
     cov = FgnCovariance(hurst, grid.delta, grid.count)
-    value = estimators.sigma2_hat(sample.slow, hurst, cov=cov)
+    value = estimators.sigma2_hat(slow, hurst, cov=cov)
     return [
         ResultRow(
             experiment="clt",
@@ -643,8 +624,6 @@ _HURST_DEFAULTS = {
     "sweep.hursts": (0.3, 0.7),
     "grid.delta": 1.0,
     "grid.count": 4096,
-    "sim.refine": 8,
-    "sim.max_substeps": 64,
     "tol.mean_abs_error": 0.05,
 }
 
@@ -657,12 +636,10 @@ def _rep_hurst_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
     fine_grid = SamplingGrid(delta=delta / 2.0, count=2 * count)
     rows = []
     for i, hurst in enumerate(params["sweep.hursts"]):
-        sample = sample_physical_fbm(
+        slow = sample_slow_component(
             MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
             fine_grid,
             seed,
-            refine=params["sim.refine"],
-            max_substeps=_substeps_arg(params),
             stream=3 * i,
         )
         rows.append(
@@ -670,7 +647,7 @@ def _rep_hurst_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
                 experiment="hurst-sweep",
                 replicate=seed.replicate,
                 statistic="hurst_hat",
-                value=estimators.hurst_hat(sample.slow),
+                value=estimators.hurst_hat(slow),
                 epsilon=eps,
                 delta=delta,
                 hurst=hurst,
@@ -1229,16 +1206,17 @@ def _strict_json(value):
     return value
 
 
-def write_outputs(result: ExperimentResult, out) -> tuple[Path, Path]:
-    """CSV table at ``out`` plus a machine-readable JSON summary sidecar.
-
-    The sidecar is strict JSON: a non-finite summary value (a test statistic
+def summary_json(summary: dict) -> str:
+    """``summary`` as strict JSON text: a non-finite value (a test statistic
     undefined at too few replicates) is written as null."""
+    return json.dumps(_strict_json(summary), indent=2, sort_keys=True, allow_nan=False)
+
+
+def write_outputs(result: ExperimentResult, out) -> tuple[Path, Path]:
+    """CSV table at ``out`` plus a machine-readable JSON summary sidecar
+    (see :func:`summary_json`)."""
     csv_path = Path(out)
     write_csv(result.rows, csv_path)
     json_path = csv_path.with_suffix(".summary.json")
-    text = json.dumps(
-        _strict_json(result.summary), indent=2, sort_keys=True, allow_nan=False
-    )
-    json_path.write_text(text + "\n", encoding="utf-8")
+    json_path.write_text(summary_json(result.summary) + "\n", encoding="utf-8")
     return csv_path, json_path

@@ -1,8 +1,8 @@
 """Autocovariance of fractional Gaussian noise and the Toeplitz machinery
 built on it: a Gohberg-Semencul operator for the inverse covariance
 (solves and quadratic forms by FFT in O(N) memory), its spectral norm, and
-the power-law expansion of the stationary Ornstein-Uhlenbeck
-autocovariance under fractional driving.
+the stationary Ornstein-Uhlenbeck autocovariance under fractional driving,
+with its power-law expansion.
 
 The increment autocovariance at step delta and lag k is
 
@@ -14,11 +14,14 @@ so gamma(0) = delta^(2H) and, for H = 1/2, gamma(k) = 0 for every k >= 1
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .grids import NumericFailure
@@ -29,6 +32,7 @@ __all__ = [
     "FgnCovariance",
     "fou_autocovariance_expansion",
     "stationary_fou_variance",
+    "unit_fou_autocovariance",
 ]
 
 # Beyond this lag the direct second difference of k^(2H) has lost about half
@@ -243,8 +247,8 @@ class FgnCovariance:
 
 
 def fou_autocovariance_expansion(
-    hurst: float, sigma: float, lag_over_eps: float, terms: int
-) -> float:
+    hurst: float, sigma: float, lag_over_eps, terms: int | None
+):
     """Power-law tail of the stationary covariance E[Y_t Y_{t+s}] of the
     fast component, as a partial sum:
 
@@ -252,7 +256,9 @@ def fou_autocovariance_expansion(
 
     Valid for H != 1/2 (at H = 1/2 the covariance decays exponentially and
     every polynomial coefficient vanishes); s/eps should be large - the series
-    is asymptotic, not convergent.
+    is asymptotic, not convergent.  ``terms=None`` sums, at each lag, while
+    the terms shrink and still change the sum, which is the series' best
+    value.  ``lag_over_eps`` may be an array; a scalar gives a float.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -260,17 +266,123 @@ def fou_autocovariance_expansion(
         raise ValueError("the power-law expansion is undefined at hurst = 0.5")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if lag_over_eps <= 0:
+    u = np.asarray(lag_over_eps, dtype=float)
+    if not np.all(u > 0):
         raise ValueError(f"lag_over_eps must be positive, got {lag_over_eps}")
-    if terms < 1:
+    if terms is not None and terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     a = 2.0 * hurst
-    total = 0.0
+    total = np.zeros_like(u)
+    active = np.ones(u.shape, dtype=bool)
+    last = np.full(u.shape, np.inf)
     coeff = 1.0
-    for n in range(1, terms + 1):
+    n = 0
+    while active.any() and (terms is None or n < terms):
+        n += 1
         coeff *= (a - (2 * n - 2)) * (a - (2 * n - 1))
-        total += coeff * lag_over_eps ** (a - 2 * n)
-    return 0.5 * sigma * sigma * total
+        term = coeff * u ** (a - 2 * n)
+        if terms is None:
+            size = np.abs(term)
+            active &= (size < last) & (size > _EPS * np.abs(total))
+            last = size
+        total += np.where(active, term, 0.0)
+    out = 0.5 * sigma * sigma * total
+    return float(out) if out.ndim == 0 else out
+
+
+# r(u) is evaluated by its power series up to _SERIES_MAX_U (the series
+# cancels like e^u), by quadrature below _EXPANSION_MIN_U, and by the
+# asymptotic expansion beyond, whose smallest term there is below 1e-14 of
+# the sum.
+_SERIES_MAX_U = 2.0
+_EXPANSION_MIN_U = 40.0
+_SERIES_TERMS = 30  # u^60 / 60! < 1e-63 at u = 2
+_QUAD_RTOL = 1e-12
+# the quadrature ray's angle: the pole of 1/(1+z^2) at z = i stays outside
+# the sector between the ray and the real axis, at distance cos(pi/3)
+_RAY = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
+_EPS = float(np.finfo(float).eps)
+
+
+def _fou_spectral_integral(hurst: float, u: float) -> float:
+    """integral_0^inf cos(u y) y^(1-2H) / (1 + y^2) dy for u > 0.
+
+    The real-axis integrand oscillates and decays only like y^(-1-2H), so
+    the integral of e^(iuz) z^(1-2H) / (1 + z^2) is taken along the ray
+    z = s e^(i pi/3) instead (Cauchy: no pole in the sector, and the arc
+    vanishes since the power is below 1).  There the integrand decays like
+    e^(-u s sin(pi/3)); [0, 1] carries the s^(1-2H) endpoint weight.
+    Raises NumericFailure unless quad's own error estimate is below
+    _QUAD_RTOL of the two pieces' magnitude.
+    """
+    a = 1.0 - 2.0 * hurst
+    lead = _RAY ** (a + 1.0)
+
+    def smooth(s: float) -> float:
+        z = s * _RAY
+        return (lead * cmath.exp(1j * u * z) / (1.0 + z * z)).real
+
+    # full_output returns quad's diagnostics instead of warning; the error
+    # estimate is checked below
+    head, head_err, *_ = quad(
+        smooth, 0.0, 1.0, weight="alg", wvar=(a, 0.0),
+        epsabs=0.0, epsrel=0.1 * _QUAD_RTOL, limit=200, full_output=1,
+    )
+    tail, tail_err, *_ = quad(
+        lambda s: s**a * smooth(s), 1.0, np.inf,
+        epsabs=0.0, epsrel=0.1 * _QUAD_RTOL, limit=200, full_output=1,
+    )
+    if not head_err + tail_err <= _QUAD_RTOL * (abs(head) + abs(tail)):
+        raise NumericFailure(
+            f"fOU covariance quadrature at H={hurst}, u={u}: error estimate "
+            f"{head_err + tail_err:.3e} exceeds {_QUAD_RTOL:g} of the integral"
+        )
+    return head + tail
+
+
+def unit_fou_autocovariance(hurst: float, lags) -> np.ndarray:
+    """r(u) = E[Y_0 Y_u] of the stationary fractionally driven
+    Ornstein-Uhlenbeck process at unit mean reversion and noise scale
+    (Cheridito, Kawaguchi & Maejima, EJP 8, 2003), at lags u >= 0:
+
+        r(u) = Gamma(2H+1) sin(pi H) / pi * integral_0^inf cos(u y) y^(1-2H) / (1 + y^2) dy
+             = Gamma(2H+1) / 2 * [cosh u - sum_n u^(2H+2n) / Gamma(2H+2n+1)],
+
+    so r(0) = H Gamma(2H) and r(u) = e^(-u) / 2 at H = 1/2.  At lam and beta
+    the covariance is beta^2 lam^(-2H) r(lam s).  Accurate to about 1e-12
+    relative: the series for u <= 2, quadrature along a complex ray below
+    u = 40, the asymptotic expansion beyond.
+    """
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    u = np.asarray(lags, dtype=float)
+    if u.size and not u.min() >= 0:
+        raise ValueError("lags must be non-negative")
+    if hurst == 0.5:
+        return 0.5 * np.exp(-u)
+    a = 2.0 * hurst
+    out = np.empty_like(u)
+
+    small = u <= _SERIES_MAX_U
+    us = u[small]
+    u2 = us * us
+    cosh_term = np.ones_like(us)
+    power_term = us**a / gamma_fn(a + 1.0)
+    total = cosh_term - power_term
+    for n in range(_SERIES_TERMS):
+        cosh_term *= u2 / ((2 * n + 1) * (2 * n + 2))
+        power_term *= u2 / ((a + 2 * n + 1) * (a + 2 * n + 2))
+        total += cosh_term - power_term
+    out[small] = 0.5 * gamma_fn(a + 1.0) * total
+    out[u == 0.0] = stationary_fou_variance(hurst, 1.0, 1.0)
+
+    large = u >= _EXPANSION_MIN_U
+    out[large] = fou_autocovariance_expansion(hurst, 1.0, u[large], None)
+
+    middle = ~(small | large)
+    scale = gamma_fn(a + 1.0) * math.sin(math.pi * hurst) / math.pi
+    out[middle] = [scale * _fou_spectral_integral(hurst, v) for v in u[middle]]
+    return out
 
 
 def stationary_fou_variance(hurst: float, lam: float, beta: float) -> float:

@@ -4,9 +4,14 @@ slow component approximates fractional Brownian motion, and the two-timescale
 estimation test system.
 
 Every fractional stream comes from one engine: the exact 2m-circulant
-embedding of the fGn covariance at the 5-smooth half-size
+embedding of a stationary increment law at the 5-smooth half-size
 m = ``scipy.fft.next_fast_len(n, real=True)`` >= n, truncated to the first n
-samples (i.i.d. normals at H = 1/2).
+samples.  The law is unit fGn (i.i.d. normals at H = 1/2) or, for
+:func:`sample_slow_component`, the slow component's node increments, whose
+autocovariance adds the second difference of the stationary fOU covariance
+to fGn's.  The joint slow/fast/driver sample (:func:`sample_physical_fbm`)
+and the two-timescale system run a recursion on a refined sub-grid driven by
+one such fGn stream.
 
 Sampling is deterministic in (parameters, grid, seed): the same inputs always
 reproduce the same values bit for bit.  Replicates draw from independent
@@ -23,7 +28,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import lfilter
 
-from .fgn import unit_autocovariance
+from .fgn import unit_autocovariance, unit_fou_autocovariance
 from .grids import (
     STREAM_BROWNIAN,
     STREAM_DRIVER,
@@ -42,6 +47,7 @@ __all__ = [
     "sample_approximate_model",
     "PhysicalFbmSample",
     "sample_physical_fbm",
+    "sample_slow_component",
     "TfeSystemSample",
     "sample_tfe_system",
 ]
@@ -49,24 +55,49 @@ __all__ = [
 # e^-19 < 1e-8: burn-in long enough that the dropped infinite past is
 # invisible at double precision statistics.
 _BURN_IN_DECADES = 19.0
+_SQRT_HALF = math.sqrt(0.5)
+# Largest embedding half-size reached by doubling: it bounds the time and
+# memory an unembeddable law takes before NumericFailure.  eps/delta = 1000
+# embeds by m = 4096 at H = 0.7 and by m = 32768 at H = 0.98.
+_MAX_GROWN_HALF_SIZE = 2**16
+
+
+def _slow_unit_autocovariance(hurst: float, ratio: float, m: int) -> np.ndarray:
+    """g(0..m): autocovariance of the slow component's node increments in
+    units of sigma^2 delta^(2H), at ratio = eps/delta (0 gives unit fGn):
+
+        g(k) = gamma_1(k) + ratio^(2H) [r((k+1)/ratio) - 2 r(k/ratio) + r(|k-1|/ratio)],
+
+    with r the unit stationary fOU autocovariance.  X_t - X_0 =
+    sigma B^H_t - eps^H (Y_t - Y_0) has stationary increments; its cross
+    terms with B^H equal twice the Y-increment covariance by time
+    reversibility, which leaves the second difference of r with a plus sign.
+    """
+    lags = np.arange(m + 1)
+    row = unit_autocovariance(hurst, lags)
+    if ratio > 0.0:
+        r = unit_fou_autocovariance(hurst, np.arange(m + 2) / ratio)
+        row += ratio ** (2.0 * hurst) * (r[1:] - 2.0 * r[:-1] + r[np.abs(lags - 1)])
+    return row
 
 
 @functools.lru_cache(maxsize=16)
-def _circulant_roots(hurst: float, m: int) -> np.ndarray:
+def _circulant_roots(hurst: float, ratio: float, m: int) -> np.ndarray:
     """sqrt of the eigenvalues 0..m of the 2m-circulant embedding of the
-    unit-step fGn covariance (eigenvalues m+1..2m-1 mirror 1..m-1).
+    unit-law autocovariance g(0..m) at ratio = eps/delta (ratio 0 is fGn);
+    eigenvalues m+1..2m-1 mirror 1..m-1.
 
-    Cached per (hurst, m), so stream lengths that round up to the same m
-    share an entry; bounded so sweeps over many sizes cannot accumulate
-    unbounded memory.
+    Cached per (hurst, ratio, m), so stream lengths that round up to the
+    same m share an entry; bounded so sweeps over many sizes cannot
+    accumulate unbounded memory.
     """
-    row = unit_autocovariance(hurst, np.arange(m + 1))
+    row = _slow_unit_autocovariance(hurst, ratio, m)
     circ = np.concatenate([row, row[-2:0:-1]])  # length 2m
     lam = np.fft.rfft(circ).real / (2 * m)
     floor = -1e-8 * lam.max()
-    if lam.min() < floor:
+    if not lam.min() >= floor:  # also true for NaN
         raise NumericFailure(
-            f"circulant embedding for fGn (H={hurst}, m={m}) has "
+            f"circulant embedding (H={hurst}, eps/delta={ratio}, m={m}) has "
             f"eigenvalue {lam.min():.3e}; cannot sample exactly"
         )
     roots = np.sqrt(np.clip(lam, 0.0, None))
@@ -74,32 +105,56 @@ def _circulant_roots(hurst: float, m: int) -> np.ndarray:
     return roots
 
 
-def _unit_fgn(rng: np.random.Generator, hurst: float, n: int) -> np.ndarray:
-    """One exact unit-step fGn stream of length n.
+@functools.lru_cache(maxsize=64)
+def _embedding_half_size(hurst: float, ratio: float, n: int) -> int:
+    """The half-size m >= n a length-n stream embeds at: the 5-smooth
+    next_fast_len(n, real=True), doubled while the embedding is not
+    non-negative definite (Wood & Chan, JCGS 3, 1994), which happens for
+    the slow component when eps/delta is large against n.  The first n
+    samples of any longer stream are still exact.  NumericFailure once m
+    reaches _MAX_GROWN_HALF_SIZE."""
+    m = next_fast_len(n, real=True)
+    while True:
+        try:
+            _circulant_roots(hurst, ratio, m)
+            return m
+        except NumericFailure:
+            if m >= _MAX_GROWN_HALF_SIZE:
+                raise
+            m = next_fast_len(2 * m, real=True)
 
-    H = 1/2 reduces to i.i.d. standard normals.  Every other H uses the
-    2m-circulant embedding (Davies-Harte) at the 5-smooth half-size
-    m = next_fast_len(n, real=True) >= n, drawn as a Hermitian half-spectrum
-    through an inverse real FFT.  It is exact because its eigenvalues are
-    checked non-negative, and the first n samples of a length-m fGn stream
-    are a length-n fGn stream.
+
+def _unit_stream(
+    rng: np.random.Generator, hurst: float, n: int, ratio: float = 0.0
+) -> np.ndarray:
+    """One exact stream of length n with the unit law g at ratio = eps/delta:
+    unit-step fGn at ratio 0, the slow component's increments otherwise.
+
+    Unit fGn at H = 1/2 reduces to i.i.d. standard normals.  Every other law
+    uses the 2m-circulant embedding (Davies-Harte; Wood & Chan, JCGS 3,
+    1994) at the half-size m >= n of ``_embedding_half_size``, drawn as a
+    Hermitian half-spectrum through an inverse real FFT.  It is exact
+    because its eigenvalues are checked non-negative, and the first n
+    samples of a length-m stationary stream are a length-n one.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
-    if hurst == 0.5:
+    if hurst == 0.5 and ratio == 0.0:
         return rng.standard_normal(n)
-    m = next_fast_len(n, real=True)
-    roots = _circulant_roots(hurst, m)
+    m = _embedding_half_size(hurst, ratio, n)
+    roots = _circulant_roots(hurst, ratio, m)
     # Complex normals on bins 0..m: bins 0 and m are real.  Draw order (real
     # parts 0..m, then imaginary parts 1..m-1) is part of the contract.
     # irfft's kernel is the conjugate of the forward FFT's, so the imaginary
     # parts enter with a minus sign to give the forward-FFT realisation.
-    re = rng.standard_normal(m + 1)
-    im = rng.standard_normal(m - 1)
-    half = re.astype(complex)
-    half[1:m] = (re[1:m] - 1j * im) / math.sqrt(2.0)
-    half *= roots
-    return np.fft.irfft(half, 2 * m)[:n] * (2 * m)
+    z = rng.standard_normal(2 * m)
+    z[1:m] *= _SQRT_HALF
+    z[m + 1 :] *= -_SQRT_HALF
+    half = np.empty(m + 1, dtype=complex)
+    np.multiply(z[: m + 1], roots, out=half.real)
+    np.multiply(z[m + 1 :], roots[1:m], out=half.imag[1:m])
+    half.imag[0] = half.imag[m] = 0.0
+    return np.fft.irfft(half, 2 * m, norm="forward")[:n]
 
 
 def sample_fgn(
@@ -113,7 +168,7 @@ def sample_fgn(
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     rng = seed.rng(stream)
-    values = grid.delta**hurst * _unit_fgn(rng, hurst, grid.count)
+    values = grid.delta**hurst * _unit_stream(rng, hurst, grid.count)
     return IncrementVector(grid, values)
 
 
@@ -157,7 +212,7 @@ def _fou_joint_refined(
     burn_cells = max(1, math.ceil(_BURN_IN_DECADES / (lam * grid.delta)))
     n_fine = (grid.count + burn_cells) * m
 
-    db = h**hurst * _unit_fgn(rng, hurst, n_fine)
+    db = h**hurst * _unit_stream(rng, hurst, n_fine)
     a = math.exp(-lam * h)
     y = lfilter([1.0], [1.0, -a], (a * beta) * db)
 
@@ -328,7 +383,11 @@ def sample_physical_fbm(
     stream: int = STREAM_DRIVER,
 ) -> PhysicalFbmSample:
     """Sample the slow/fast pair whose slow component deviates from
-    sigma * B^H by eps^H times a stationary increment."""
+    sigma * B^H by eps^H times a stationary increment.
+
+    The joint law of (X, Y, B^H) comes from the refined recursion (exact at
+    H = 1/2); when only X is read, :func:`sample_slow_component` draws it
+    exactly at the nodes with no sub-grid."""
     eps, sigma, hurst = params.epsilon, params.sigma, params.hurst
     lam = 1.0 / eps
     beta = sigma / eps**hurst
@@ -345,6 +404,30 @@ def sample_physical_fbm(
         fast=Trajectory(grid, y_nodes),
         driver=Trajectory(grid, driver),
     )
+
+
+def sample_slow_component(
+    params: MultiscaleParams,
+    grid: SamplingGrid,
+    seed: SeedSpec,
+    *,
+    stream: int = STREAM_DRIVER,
+) -> Trajectory:
+    """The slow component X of the slow/fast system at the nodes (X_0 = 0),
+    drawn exactly from its Gaussian law with no sub-grid.
+
+    X_t = eps^(H-1) int_0^t Y ds has stationary increments whose node
+    autocovariance is sigma^2 delta^(2H) g(k) at ratio = eps/delta (see
+    ``_slow_unit_autocovariance``), sampled by the same circulant embedding
+    as fGn.  It has the law of ``sample_physical_fbm(...).slow`` without
+    that sampler's discretisation, but not its draws: use
+    ``sample_physical_fbm`` when the fast component or the driver is read.
+    """
+    eps, sigma, hurst = params.epsilon, params.sigma, params.hurst
+    rng = seed.rng(stream)
+    increments = _unit_stream(rng, hurst, grid.count, eps / grid.delta)
+    increments *= sigma * grid.delta**hurst
+    return Trajectory(grid, np.concatenate(([0.0], np.cumsum(increments))))
 
 
 @dataclass(frozen=True)
@@ -404,29 +487,29 @@ def sample_tfe_system(
         y0 = float(fast_rng.standard_normal())
     a_fast = math.exp(-h / epsilon)
     innov_sd = math.sqrt(-math.expm1(-2.0 * h / epsilon))
-    xi = fast_rng.standard_normal(n_fine)
-    y_rest, _ = lfilter(
-        [1.0], [1.0, -a_fast], innov_sd * xi, zi=np.array([a_fast * y0])
-    )
-    y_fine = np.concatenate([[y0], y_rest])  # fast values at all fine nodes
+    # One buffer serves as both filters' input: the start value first, so
+    # lfilter runs from a zero state and returns it as the first node.
+    buf = np.empty(n_fine + 1)
+    buf[0] = y0
+    fast_rng.standard_normal(out=buf[1:])
+    buf[1:] *= innov_sd
+    y_fine = lfilter([1.0], [1.0, -a_fast], buf)  # fast values at all fine nodes
 
-    if eta > 0.0:
-        driver_rng = seed.rng(stream + STREAM_DRIVER)
-        db = h**hurst * _unit_fgn(driver_rng, hurst, n_fine)
-        noise = math.sqrt(eta) * (1.0 - 0.5 * theta * h) * db
-    else:
-        noise = 0.0
-
-    # explicit trapezoid on the drift:
-    #   X_{j+1} = a X_j + (h/2) ((1 - theta h) Y_j + Y_{j+1})
-    #             - ... collected below, a = 1 - theta h + (theta h)^2 / 2
+    # explicit trapezoid on the drift, with a = 1 - theta h + (theta h)^2 / 2:
+    #   X_{j+1} = a X_j + (h/2) ((1 - theta h) Y_j + Y_{j+1} + noise_j / (h/2))
     th = theta * h
     a_slow = 1.0 - th + 0.5 * th * th
-    drive = 0.5 * h * ((1.0 - th) * y_fine[:-1] + y_fine[1:]) + noise
-    x_rest, _ = lfilter(
-        [1.0], [1.0, -a_slow], drive, zi=np.array([a_slow * x0])
-    )
-    x_fine = np.concatenate([[x0], x_rest])
+    drive = buf
+    drive[0] = x0
+    np.multiply(y_fine[:-1], 1.0 - th, out=drive[1:])
+    drive[1:] += y_fine[1:]
+    if eta > 0.0:
+        driver_rng = seed.rng(stream + STREAM_DRIVER)
+        noise = _unit_stream(driver_rng, hurst, n_fine)
+        noise *= math.sqrt(eta) * (1.0 - 0.5 * th) * h**hurst / (0.5 * h)
+        drive[1:] += noise
+    drive[1:] *= 0.5 * h
+    x_fine = lfilter([1.0], [1.0, -a_slow], drive)
 
     take = np.arange(0, n_fine + 1, m)
     return TfeSystemSample(

@@ -7,6 +7,7 @@ quadrature instead of closed forms.  Slow and obviously correct.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 
 import numpy as np
@@ -73,6 +74,23 @@ def naive_circulant_fgn(
     z[1:m] = roots[1:m] * (re[1:m] + 1j * im) / np.sqrt(2.0)
     z[m + 1 :] = np.conj(z[1:m][::-1])
     return np.fft.fft(z)[:n].real
+
+
+def fou_autocovariance_hyp1f2(hurst: float, u: float) -> float:
+    """Unit stationary fOU autocovariance in closed form, in mpmath:
+
+        r(u) = Gamma(2H+1)/2 [cosh u - u^(2H)/Gamma(2H+1) 1F2(1; H+1/2, H+1; u^2/4)],
+
+    at 30 digits beyond the e^u the two terms cancel down from."""
+    import mpmath
+
+    with mpmath.workdps(30 + int(u / math.log(10.0))):
+        h, x = mpmath.mpf(hurst), mpmath.mpf(u)
+        g = mpmath.gamma(2 * h + 1)
+        value = g / 2 * (
+            mpmath.cosh(x) - x ** (2 * h) / g * mpmath.hyp1f2(1, h + 0.5, h + 1, x * x / 4)
+        )
+        return float(value)
 
 
 def exhaustive_p_variation(values: np.ndarray, p: float) -> float:

@@ -81,6 +81,7 @@ class TestSimulate:
         [
             ("--model", "fou", "--lam", "2.0", "--beta", "1.5", "--hurst", "0.5"),
             ("--model", "fou", "--refine", "8"),
+            ("--model", "physical-fbm", "--component", "slow", "--hurst", "0.3"),
             ("--model", "physical-fbm", "--component", "driver"),
             ("--model", "physical-fbm", "--component", "fast", "--epsilon", "0.05"),
             ("--model", "tfe", "--component", "fast", "--eta", "0.001",
@@ -260,6 +261,25 @@ class TestExperimentCommand:
         summary = json.loads(out)
         assert summary["replicates"] == 1
         assert (tmp_path / "o.summary.json").exists()
+
+    def test_summary_on_stdout_is_strict_json(self, capsys, tmp_path):
+        # one clt replicate leaves the normality p-value and the variance
+        # undefined; stdout must carry them as null, never as bare NaN
+        cfg = tmp_path / "clt.cfg"
+        cfg.write_text(
+            "experiment = clt\nreplicates = 1\n"
+            "model.epsilon = 1e-3\ngrid.horizon = 0.5\n"
+        )
+
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name} on stdout")
+
+        with pytest.warns(RuntimeWarning):
+            rc, out, _ = run_cli(capsys, "experiment", str(cfg))
+        assert rc == 0
+        summary = json.loads(out, parse_constant=reject)
+        assert summary["normality_p_value"] is None
+        assert summary["variance"] is None
 
     def test_unknown_experiment_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

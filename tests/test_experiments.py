@@ -34,7 +34,7 @@ CHEAP_EXPANSION = {
 TINY_PARAMS = {
     "bias-sweep": {"grid.horizon": "0.5"},
     "calibration-convergence": {"cal.levels": "3", "grid.horizon": "2.0"},
-    "clt": {"model.epsilon": "1e-3", "grid.horizon": "0.5", "sim.max_substeps": "16"},
+    "clt": {"model.epsilon": "1e-3", "grid.horizon": "0.5"},
     "conjecture-scan": {"scan.sizes": "8, 16", "scan.k_max": "4"},
     "consistency-rate": {"sweep.eps_log2": "-4, -5", "grid.horizon": "1.0"},
     "expansion-residual": CHEAP_EXPANSION,

@@ -7,25 +7,32 @@ import math
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
+from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.special import gamma as gamma_fn
 
 from fraclab import (
     FouParams,
     MultiscaleParams,
+    NumericFailure,
     SamplingGrid,
     SeedSpec,
+    expected_bias_h_half,
     fgn_autocovariance,
+    fou_autocovariance_expansion,
     sample_approximate_model,
     sample_fgn,
     sample_physical_fbm,
+    sample_slow_component,
     sample_stationary_fou,
     sample_tfe_system,
     stationary_fou_variance,
+    unit_autocovariance,
+    unit_fou_autocovariance,
 )
-from fraclab import simulate
+from fraclab import fgn, simulate
 from fraclab.grids import STREAM_BROWNIAN, STREAM_DRIVER
-from oracles import naive_circulant_fgn
+from oracles import fou_autocovariance_hyp1f2, naive_circulant_fgn
 
 
 def pooled_autocovariance(rows: np.ndarray, lag: int) -> float:
@@ -370,6 +377,176 @@ class TestPhysicalFbm:
         assert s.slow.values.shape == (6,)
         assert s.fast.values.shape == (6,)
         assert s.driver.values.shape == (6,)
+
+
+class TestFouAutocovariance:
+    # every branch of r: the series (u <= 2), the ray quadrature (2 < u < 40)
+    # and the asymptotic expansion (u >= 40)
+    LAGS = np.concatenate([np.geomspace(1e-3, 2.0, 12), np.linspace(2.1, 59.9, 28)])
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+    def test_matches_hyp1f2(self, hurst):
+        pytest.importorskip("mpmath")
+        got = unit_fou_autocovariance(hurst, self.LAGS)
+        expected = [fou_autocovariance_hyp1f2(hurst, u) for u in self.LAGS]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+    def test_quadrature_meets_expansion_on_the_overlap(self, hurst):
+        lags = np.linspace(40.0, 60.0, 9)
+        scale = gamma_fn(2 * hurst + 1) * math.sin(math.pi * hurst) / math.pi
+        by_quadrature = [scale * fgn._fou_spectral_integral(hurst, u) for u in lags]
+        by_expansion = fou_autocovariance_expansion(hurst, 1.0, lags, None)
+        np.testing.assert_allclose(by_quadrature, by_expansion, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(unit_fou_autocovariance(hurst, lags), by_expansion)
+
+    def test_half_is_exponential(self):
+        lags = np.linspace(0.0, 80.0, 161)
+        np.testing.assert_array_equal(
+            unit_fou_autocovariance(0.5, lags), 0.5 * np.exp(-lags)
+        )
+
+    @pytest.mark.parametrize("hurst", [0.02, 0.3, 0.7, 0.98])
+    def test_lag_zero_is_the_stationary_variance(self, hurst):
+        assert unit_fou_autocovariance(hurst, [0.0])[0] == stationary_fou_variance(
+            hurst, 1.0, 1.0
+        )
+
+    def test_negative_lag_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            unit_fou_autocovariance(0.7, [1.0, -1.0])
+
+
+@pytest.fixture
+def fresh_roots():
+    simulate._circulant_roots.cache_clear()
+    simulate._embedding_half_size.cache_clear()
+    yield
+    simulate._circulant_roots.cache_clear()
+    simulate._embedding_half_size.cache_clear()
+
+
+class TestSlowComponent:
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    @pytest.mark.parametrize("m", [1, 8, 1080])
+    def test_ratio_zero_roots_are_fgn_roots(self, hurst, m, fresh_roots):
+        # ratio 0 is plain fGn: the recipe the fGn sampler has always used,
+        # bit for bit
+        row = unit_autocovariance(hurst, np.arange(m + 1))
+        lam = np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real / (2 * m)
+        expected = np.sqrt(np.clip(lam, 0.0, None))
+        np.testing.assert_array_equal(simulate._circulant_roots(hurst, 0.0, m), expected)
+
+    def test_law_at_prototype_point(self):
+        # H = 0.7, eps = 0.05, delta = 0.25: below fGn's 0.1436 at lag 0
+        g = 0.25**1.4 * simulate._slow_unit_autocovariance(0.7, 0.2, 5)
+        np.testing.assert_allclose(
+            g, [0.12831, 0.05286, 0.02752, 0.02109, 0.01763, 0.01538], atol=6e-6
+        )
+
+    @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
+    def test_brownian_lag_zero_is_the_known_bias(self, ratio):
+        # at H = 1/2, g(0) is the mean of sigma2_hat on the slow component,
+        # 1 + r (e^{-1/r} - 1)
+        g0 = simulate._slow_unit_autocovariance(0.5, ratio, 1)[0]
+        assert g0 == pytest.approx(expected_bias_h_half(1.0, ratio, 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("hurst, ratio", [(0.3, 0.2), (0.7, 2.0)])
+    def test_lag_zero_is_the_integrated_fast_covariance(self, hurst, ratio):
+        # Var(X_delta) = 2 eps^(2H-2) int_0^delta (delta - s) R_Y(s) ds with
+        # R_Y(s) = sigma^2 r(s/eps): the variance of the time integral,
+        # independent of the second-difference form g is built from
+        pytest.importorskip("mpmath")
+        eps = ratio  # delta = 1
+        integral, _ = quad(
+            lambda s: (1.0 - s) * fou_autocovariance_hyp1f2(hurst, s / eps),
+            0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200,
+        )
+        expected = 2.0 * eps ** (2 * hurst - 2) * integral
+        g0 = simulate._slow_unit_autocovariance(hurst, ratio, 1)[0]
+        assert g0 == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("hurst, eps", [(0.3, 0.05), (0.7, 0.5), (0.7, 2.5)])
+    def test_padded_full_covariance(self, hurst, eps):
+        # n = 7 embeds at m = 8, or at m = 64 at eps/delta = 10, where the
+        # embedding at 8, 16 and 32 is not non-negative definite: the full
+        # 7x7 sample covariance of the increments over 20000 replicates
+        # against sigma^2 delta^(2H) g, entrywise within 5 standard errors
+        count, reps, sigma, delta = 7, 20000, 1.3, 0.25
+        params = MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps)
+        grid = SamplingGrid(delta=delta, count=count)
+        rows = np.stack(
+            [
+                np.diff(sample_slow_component(params, grid, SeedSpec(73, r)).values)
+                for r in range(reps)
+            ]
+        )
+        sample_cov = rows.T @ rows / reps
+        g = simulate._slow_unit_autocovariance(hurst, eps / delta, count - 1)
+        cov = sigma**2 * delta ** (2 * hurst) * toeplitz(g)
+        var = np.diag(cov)
+        stderr = np.sqrt((np.outer(var, var) + cov**2) / reps)
+        assert np.all(np.abs(sample_cov - cov) < 5.0 * stderr)
+
+    def test_matches_refined_sampler(self):
+        # the refined recursion at a high refine samples the same law up to
+        # its kernel bias: pooled lag-0..2 increment moments of its slow
+        # component over 1500 paths agree with g within about 4 standard
+        # errors (0.001), while fGn's lag-0 value lies 15 away
+        hurst, eps, delta = 0.7, 0.05, 0.25
+        params = MultiscaleParams(sigma=1.0, hurst=hurst, epsilon=eps)
+        grid = SamplingGrid(delta=delta, count=32)
+        rows = np.stack(
+            [
+                np.diff(
+                    sample_physical_fbm(params, grid, SeedSpec(61, r), refine=64).slow.values
+                )
+                for r in range(1500)
+            ]
+        )
+        g = delta ** (2 * hurst) * simulate._slow_unit_autocovariance(hurst, eps / delta, 2)
+        fgn_lag0 = fgn_autocovariance(hurst, delta, 0)[0]
+        tol = 0.004
+        assert abs(fgn_lag0 - g[0]) > 3.0 * tol
+        for lag in range(3):
+            assert abs(pooled_autocovariance(rows, lag) - g[lag]) < tol
+
+    def test_non_psd_embedding_raises(self, monkeypatch, fresh_roots):
+        # an autocovariance no embedding size makes non-negative definite:
+        # the doubling stops at its cap and names the size it reached
+        params = MultiscaleParams(sigma=1.0, hurst=0.7, epsilon=0.05)
+        grid = SamplingGrid(delta=0.25, count=8)
+        sizes = []
+
+        def indefinite(hurst, ratio, m):
+            # circulant eigenvalues 1 + 1.8 cos(theta) reach -0.8
+            sizes.append(m)
+            return np.concatenate([[1.0, 0.9], np.zeros(m - 1)])
+
+        monkeypatch.setattr(simulate, "_slow_unit_autocovariance", indefinite)
+        cap = simulate._MAX_GROWN_HALF_SIZE
+        with pytest.raises(NumericFailure, match=rf"H=0\.7, eps/delta=0\.2, m={cap}\)"):
+            sample_slow_component(params, grid, SeedSpec(0))
+        assert sizes == [8 * 2**k for k in range(14)]
+        # a NaN autocovariance fails the same check instead of sampling NaN
+        monkeypatch.setattr(
+            simulate, "_slow_unit_autocovariance",
+            lambda hurst, ratio, m: np.full(m + 1, np.nan),
+        )
+        with pytest.raises(NumericFailure, match=rf"m={cap}\)"):
+            sample_slow_component(params, grid, SeedSpec(1))
+
+    def test_deterministic_in_inputs(self):
+        params = MultiscaleParams(sigma=1.3, hurst=0.3, epsilon=0.01)
+        grid = SamplingGrid(delta=0.05, count=40)
+        a = sample_slow_component(params, grid, SeedSpec(5, 2))
+        b = sample_slow_component(params, grid, SeedSpec(5, 2))
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.values[0] == 0.0 and a.grid == grid
+        c = sample_slow_component(params, grid, SeedSpec(5, 3))
+        d = sample_slow_component(params, grid, SeedSpec(5, 2), stream=3)
+        assert np.max(np.abs(a.values - c.values)) > 1e-3
+        assert np.max(np.abs(a.values - d.values)) > 1e-3
 
 
 class TestTfeSystem:
