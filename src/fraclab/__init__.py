@@ -111,11 +111,8 @@ from .traces import (
     ConjectureCell,
     QMomentResult,
     ScanReport,
-    ShiftGram,
-    build_shift_gram,
     conjecture_scan,
     q_moment,
-    shift_gram_stack,
 )
 
 __version__ = "0.1.0"
@@ -143,14 +140,12 @@ __all__ = [
     "ScanReport",
     "ScoreVector",
     "SeedSpec",
-    "ShiftGram",
     "TfeInstance",
     "TfeSystemSample",
     "Trajectory",
     "TruncatedTensor",
     "admissible_alpha",
     "averaged_trajectory",
-    "build_shift_gram",
     "conjecture_scan",
     "convergence_diagnostic",
     "decimated",
@@ -189,7 +184,6 @@ __all__ = [
     "score",
     "second_order_increments",
     "segment_signature",
-    "shift_gram_stack",
     "shuffle_residual",
     "shuffles",
     "sigma2_hat",

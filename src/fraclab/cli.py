@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -93,7 +92,7 @@ def _read_trajectory(path) -> Trajectory:
 
 
 def _emit_json(payload: dict, out) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = summary_json(payload)
     print(text)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -245,24 +244,8 @@ def _cmd_verify_conjecture(args) -> int:
         _ints(args.sizes),
         args.k_max,
         growth_factor=args.growth_factor,
-        max_size=args.max_size,
     )
-    payload = {
-        "growth_factor": report.growth_factor,
-        "cells": [
-            {
-                "hurst": c.hurst,
-                "size": c.size,
-                "trace_zero": c.trace_zero,
-                "max_abs_trace": c.max_abs_trace,
-                "max_abs_pair_trace": c.max_abs_pair_trace,
-            }
-            for c in report.cells
-        ],
-        "counterexamples": report.counterexamples,
-        "ok": report.ok,
-    }
-    _emit_json(payload, args.out)
+    _emit_json(report.summary(), args.out)
     return 0
 
 
@@ -389,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", default="32,64,128,256")
     sp.add_argument("--k-max", type=int, default=16)
     sp.add_argument("--growth-factor", type=float, default=1.5)
-    sp.add_argument("--max-size", type=int, default=traces.DEFAULT_SIZE_CAP)
 
     command("signature-check", _cmd_signature_check,
             "Chen/shuffle residuals on random piecewise-linear paths")

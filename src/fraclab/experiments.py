@@ -246,7 +246,7 @@ def _check_value(key: str, value) -> None:
     if base in ("sigma", "delta", "delta0", "horizon", "epsilon", "epsilon_small",
                 "p", "growth_factor", "ratio", "ratios", "eta_levels",
                 "schedule_eps", "deltas"):
-        if any(v <= 0 for v in seq):
+        if any(not v > 0 for v in seq):
             raise ConfigError(f"key '{key}' must be positive, got {value}")
     elif base in ("hurst", "hursts"):
         if any(not 0.0 < v < 1.0 for v in seq):
@@ -255,7 +255,7 @@ def _check_value(key: str, value) -> None:
         if any(v < 0 for v in seq):
             raise ConfigError(f"key '{key}' must be >= 0, got {value}")
     elif base in ("count", "refine", "segments", "level", "levels", "k_max",
-                  "max_size", "dimension"):
+                  "dimension"):
         if any(v < 1 for v in seq):
             raise ConfigError(f"key '{key}' must be >= 1, got {value}")
 
@@ -687,7 +687,6 @@ _SCAN_DEFAULTS = {
     "scan.hursts": (0.3, 0.55, 0.7),
     "scan.sizes": (32, 64, 128, 256),
     "scan.k_max": 16,
-    "scan.max_size": traces.DEFAULT_SIZE_CAP,
     "tol.growth_factor": 1.5,
 }
 
@@ -698,7 +697,6 @@ def _rep_conjecture_scan(params: dict, seed: SeedSpec) -> list[ResultRow]:
         params["scan.sizes"],
         params["scan.k_max"],
         growth_factor=params["tol.growth_factor"],
-        max_size=params["scan.max_size"],
     )
     rows = []
     for cell in report.cells:
@@ -762,23 +760,7 @@ def _scan_cells(rows: list[ResultRow]) -> list[traces.ConjectureCell]:
 
 
 def _sum_conjecture_scan(params: dict, rows: list[ResultRow]) -> dict:
-    report = traces.scan_report(_scan_cells(rows), params["tol.growth_factor"])
-    cells = [
-        {
-            "hurst": float(c.hurst),
-            "size": int(c.size),
-            "trace_zero": c.trace_zero,
-            "max_abs_trace": c.max_abs_trace,
-            "max_abs_pair_trace": c.max_abs_pair_trace,
-        }
-        for c in report.cells
-    ]
-    return {
-        "growth_factor": float(report.growth_factor),
-        "cells": cells,
-        "counterexamples": list(report.counterexamples),
-        "ok": report.ok,
-    }
+    return traces.scan_report(_scan_cells(rows), params["tol.growth_factor"]).summary()
 
 
 # ---------------------------------------------------------------------------

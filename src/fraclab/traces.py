@@ -1,11 +1,17 @@
-"""Shifted Gram matrices of fractional Gaussian noise, the trace
-statistics whose uniform boundedness in the sample size is conjectured,
-and the Wick-identity moments of the associated quadratic forms with a
-Monte Carlo cross-check.
+"""Trace statistics of the shifted Gram matrices A_k = Sigma^{-1} C^{k,0} of
+fractional Gaussian noise, whose uniform boundedness in the sample size is
+conjectured, and the Wick-identity moments of the associated quadratic
+forms with a Monte Carlo cross-check.
+
+Every trace comes from one scan cell: Sigma is solved once, through the
+cached Gohberg-Semencul generator, against a single (N + k_max) x N
+Toeplitz window, and each Tr(A_k) and Tr(A_k A_l) is read from slices of
+that solution.  No Gram matrix is formed.  Monte Carlo draws come from the
+one circulant fGn engine.
 
 Everything here uses unit step: by self-similarity the covariance at step
-delta is delta^{2H} times the unit-step covariance, so every Gram matrix
-G = Sigma^{-1} C — and hence every trace — is step-free.
+delta is delta^{2H} times the unit-step covariance, so every A_k — and
+hence every trace — is step-free.
 """
 
 from __future__ import annotations
@@ -18,87 +24,22 @@ import numpy as np
 import scipy.linalg as sla
 
 from .fgn import FgnCovariance, unit_autocovariance
-from .grids import NumericFailure, SeedSpec
+from .grids import SeedSpec
+from .simulate import _unit_stream
 
 __all__ = [
-    "ShiftGram",
     "ConjectureCell",
     "ScanReport",
     "QMomentResult",
-    "build_shift_gram",
-    "cross_covariance_window",
-    "shift_gram_stack",
+    "SIZE_CAP",
     "conjecture_scan",
     "scan_report",
     "q_moment",
 ]
 
-#: Default cap on the base size N; the scan cost is O(N^3) per cell and the
-#: Gram stack is (k_max + 1) dense N x N blocks.
-DEFAULT_SIZE_CAP = 512
-
-
-def _big_covariance(hurst: float, size: int) -> np.ndarray:
-    """Unit-step fGn covariance over a window of 2 * size increments."""
-    lags = np.arange(2 * size)
-    return sla.toeplitz(unit_autocovariance(hurst, lags))
-
-
-def cross_covariance_window(hurst: float, size: int, k: int, l: int) -> np.ndarray:
-    """C^{k,l}: the (k, l) block window of the double-length covariance,
-    i.e. Cov(shift-by-k increments, shift-by-l increments)."""
-    if not (0 <= k <= size and 0 <= l <= size):
-        raise ValueError(f"shifts must lie in [0, {size}], got ({k}, {l})")
-    big = _big_covariance(hurst, size)
-    return big[k : k + size, l : l + size].copy()
-
-
-@dataclass(frozen=True)
-class ShiftGram:
-    """G^{k,0} = Sigma^{-1} C^{k,0} at unit step."""
-
-    hurst: float
-    size: int
-    shift: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    def pair_trace(self, other: "ShiftGram") -> float:
-        """Tr(G^{k,0} G^{l,0})."""
-        if (other.hurst, other.size) != (self.hurst, self.size):
-            raise ValueError("pair trace requires matching (hurst, size)")
-        # Tr(A B) = sum_ij A_ij B_ji
-        return float(np.sum(self.matrix * other.matrix.T))
-
-
-def build_shift_gram(
-    hurst: float, size: int, shift: int, *, cov: FgnCovariance | None = None
-) -> ShiftGram:
-    """Solve Sigma G = C^{shift,0} column-wise."""
-    if not 0 <= shift <= size:
-        raise ValueError(f"shift must lie in [0, {size}], got {shift}")
-    if cov is None:
-        cov = FgnCovariance(hurst, 1.0, size)
-    window = cross_covariance_window(hurst, size, shift, 0)
-    return ShiftGram(hurst=hurst, size=size, shift=shift, matrix=cov.solve(window))
-
-
-def shift_gram_stack(
-    hurst: float, size: int, k_max: int, *, cov: FgnCovariance | None = None
-) -> np.ndarray:
-    """All G^{k,0} for k = 0..k_max as one (k_max + 1, size, size) array:
-    Sigma^{-1} is formed once by solving the identity, then applied to every
-    window by one batched GEMM."""
-    if not 0 <= k_max <= size:
-        raise ValueError(f"k_max must lie in [0, {size}], got {k_max}")
-    if cov is None:
-        cov = FgnCovariance(hurst, 1.0, size)
-    big = _big_covariance(hurst, size)
-    windows = np.stack([big[k : k + size, :size] for k in range(k_max + 1)])
-    return cov.solve(np.eye(size)) @ windows
+#: Largest base size N a scan cell accepts: its solution is an
+#: (N + k_max) x N dense block, about 94 MB of peak memory at N = 1024.
+SIZE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -141,16 +82,49 @@ class ScanReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
+    def summary(self) -> dict:
+        """The per-cell maxima, the flags and the verdict as plain JSON types."""
+        return {
+            "growth_factor": float(self.growth_factor),
+            "cells": [
+                {
+                    "hurst": float(c.hurst),
+                    "size": int(c.size),
+                    "trace_zero": c.trace_zero,
+                    "max_abs_trace": c.max_abs_trace,
+                    "max_abs_pair_trace": c.max_abs_pair_trace,
+                }
+                for c in self.cells
+            ],
+            "counterexamples": list(self.counterexamples),
+            "ok": self.ok,
+        }
+
 
 def _scan_cell(hurst: float, size: int, k_max: int) -> ConjectureCell:
-    grams = shift_gram_stack(hurst, size, k_max)
+    """Tr(A_k) and Tr(A_k A_l) for k, l = 0..k_max from one solve.
+
+    W[i, j] = gamma(|i - j|) is (size + k_max) x size, and its rows k..k+size
+    are C^{k,0}.  M = W Sigma^{-1} is one batched generator solve, and
+    M[k:k+size] = C^{k,0} Sigma^{-1}, so by cyclicity Tr(A_k) is its trace
+    and Tr(A_k A_l) = sum_ij M[k+i, j] M[l+j, i].
+    """
+    if not 0 <= k_max <= size:
+        raise ValueError(f"k_max must lie in [0, {size}], got {k_max}")
+    if size > SIZE_CAP:
+        raise ValueError(f"size {size} exceeds the scan cap {SIZE_CAP}")
     count = k_max + 1
-    traces = np.einsum("kii->k", grams)
-    # Tr(G^k G^l) = vec(G^k) . vec((G^l)^T): one GEMM over the whole stack
-    flat = grams.reshape(count, size * size)
-    flat_t = grams.transpose(0, 2, 1).reshape(count, size * size)
-    pair = flat @ flat_t.T
-    pair = 0.5 * (pair + pair.T)  # symmetrise away roundoff
+    gamma = unit_autocovariance(hurst, np.arange(size + k_max))
+    window = sla.toeplitz(gamma, gamma[:size])
+    m = FgnCovariance(hurst, 1.0, size).solve(window.T).T
+    mt = np.ascontiguousarray(m.T)
+    traces = np.array([np.trace(m[k : k + size]) for k in range(count)])
+    pair = np.empty((count, count))
+    for k in range(count):
+        for l in range(k, count):
+            pair[k, l] = pair[l, k] = np.einsum(
+                "ij,ij->", m[k : k + size], mt[:, l : l + size]
+            )
     return ConjectureCell(
         hurst=hurst,
         size=size,
@@ -166,26 +140,21 @@ def conjecture_scan(
     k_max: int = 16,
     *,
     growth_factor: float = 1.5,
-    max_size: int = DEFAULT_SIZE_CAP,
 ) -> ScanReport:
     """Tabulate Tr(A_k) and Tr(A_k A_l) over a (hurst, size) grid and check
     the boundedness evidence: along increasing sizes at fixed hurst, the
     reported maxima must not grow by more than ``growth_factor`` between
     consecutive sizes.  Violations are collected as flagged counterexample
-    reports, never suppressed — the scan is evidence, not proof.
+    reports, never suppressed — the scan is evidence, not proof.  Sizes
+    run from 2 to ``SIZE_CAP``.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes or not len(hursts):
         raise ValueError("hursts and sizes must be non-empty")
-    for n in sizes:
-        if n < 2:
-            raise ValueError(f"size must be >= 2, got {n}")
-        if n > max_size:
-            raise ValueError(
-                f"size {n} exceeds the scan cap {max_size}; pass max_size to override"
-            )
-    if growth_factor <= 0:
-        raise ValueError(f"growth_factor must be positive, got {growth_factor}")
+    if sizes[0] < 2:
+        raise ValueError(f"size must be >= 2, got {sizes[0]}")
+    if sizes[-1] > SIZE_CAP:
+        raise ValueError(f"size {sizes[-1]} exceeds the scan cap {SIZE_CAP}")
 
     cells = [
         _scan_cell(hurst, n, min(k_max, n)) for hurst in hursts for n in sizes
@@ -199,7 +168,11 @@ def scan_report(
     """Check scanned cells for the boundedness evidence: Tr(A_0) = N to
     1e-6 relative in every cell and, from each cell to the next one of the
     same hurst at a larger size, maxima that grow by at most
-    ``growth_factor``."""
+    ``growth_factor`` (finite and positive)."""
+    if not (math.isfinite(growth_factor) and growth_factor > 0):
+        raise ValueError(
+            f"growth_factor must be finite and positive, got {growth_factor}"
+        )
     flags: list[str] = []
     for prev, cur in zip([None, *cells], cells):
         n = cur.size
@@ -260,22 +233,23 @@ def q_moment(
     """Second moment of the shifted quadratic forms
     Q^{k,0} = (shift-by-k increments)' Sigma^{-1} (increments):
 
-        E(Q^{k,0} Q^{l,0}) = Tr(G^{k,0}) Tr(G^{l,0}) + Tr(G^{|k-l|,0})
-                             + Tr(G^{k,0} G^{l,0}).
+        E(Q^{k,0} Q^{l,0}) = Tr(A_k) Tr(A_l) + Tr(A_|k-l|) + Tr(A_k A_l),
 
-    With ``samples`` > 0, also estimates the moment from that many
-    double-length unit-step fGn draws.
+    all read from one scan cell at k_max = max(k, l).
+
+    With ``samples`` >= 2, also estimates the moment from that many
+    double-length unit-step fGn streams, drawn in turn from ``seed``'s
+    generator through the circulant engine.  ``samples`` = 0 (the default)
+    skips the estimate; one sample has no standard error and is rejected.
     """
     if not (0 <= k <= size and 0 <= l <= size):
         raise ValueError(f"shifts must lie in [0, {size}], got ({k}, {l})")
-    cov = FgnCovariance(hurst, 1.0, size)
-    gram_k = build_shift_gram(hurst, size, k, cov=cov)
-    gram_l = gram_k if l == k else build_shift_gram(hurst, size, l, cov=cov)
-    gram_d = build_shift_gram(hurst, size, abs(k - l), cov=cov)
-    analytic = (
-        gram_k.trace * gram_l.trace + gram_d.trace + gram_k.pair_trace(gram_l)
-    )
-    if samples <= 0:
+    if samples < 0 or samples == 1:
+        raise ValueError(f"samples must be 0 or >= 2, got {samples}")
+    cell = _scan_cell(hurst, size, max(k, l))
+    tr = cell.traces
+    analytic = float(tr[k] * tr[l] + tr[abs(k - l)] + cell.pair_traces[k, l])
+    if samples == 0:
         return QMomentResult(
             hurst=hurst, size=size, k=k, l=l, analytic=analytic
         )
@@ -285,15 +259,8 @@ def q_moment(
     elif isinstance(seed, int):
         seed = SeedSpec(master=seed)
     rng = seed.rng()
-    big = _big_covariance(hurst, size)
-    try:
-        low = sla.cholesky(big, lower=True)
-    except sla.LinAlgError as exc:  # pragma: no cover - same guard as FgnCovariance
-        raise NumericFailure(
-            f"double-length fGn covariance (H={hurst}, N={size}) failed to factor: {exc}"
-        ) from exc
-    draws = rng.standard_normal((samples, 2 * size)) @ low.T
-    base_solved = cov.solve(draws[:, :size].T)  # (size, samples)
+    draws = np.stack([_unit_stream(rng, hurst, 2 * size) for _ in range(samples)])
+    base_solved = FgnCovariance(hurst, 1.0, size).solve(draws[:, :size].T)
     q_k = np.einsum("si,is->s", draws[:, k : k + size], base_solved)
     q_l = np.einsum("si,is->s", draws[:, l : l + size], base_solved)
     prod = q_k * q_l

@@ -42,6 +42,21 @@ def gaussian_loglik(x: np.ndarray, cov: np.ndarray) -> float:
     )
 
 
+def dense_gram(hurst: float, size: int, shift: int) -> np.ndarray:
+    """A_shift = Sigma^{-1} C^{shift,0} at unit step from first principles,
+    with dense nested-loop matrices and a dense solve."""
+    from fraclab import unit_autocovariance
+
+    gamma = unit_autocovariance(hurst, np.arange(2 * size))
+    sigma = np.empty((size, size))
+    window = np.empty((size, size))
+    for i in range(size):
+        for j in range(size):
+            sigma[i, j] = gamma[abs(i - j)]
+            window[i, j] = gamma[abs(shift + i - j)]
+    return np.linalg.solve(sigma, window)
+
+
 def central_difference(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -213,6 +213,30 @@ class TestVerifyConjecture:
         for cell in payload["cells"]:
             assert cell["trace_zero"] == pytest.approx(cell["size"], rel=1e-8)
 
+    def test_output_is_strict_json(self, capsys):
+        def reject(name):
+            raise AssertionError(f"non-JSON constant {name} on stdout")
+
+        rc, out, _ = run_cli(
+            capsys, "verify-conjecture", "--hursts", "0.5", "--sizes", "8,16",
+            "--k-max", "2",
+        )
+        assert rc == 0
+        assert json.loads(out, parse_constant=reject)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--sizes", "8,16", "--growth-factor", "nan"), "growth_factor"),
+            (("--sizes", "8,1025"), "scan cap 1024"),
+        ],
+    )
+    def test_invalid_scan_exits_2(self, capsys, extra, message):
+        rc, out, err = run_cli(capsys, "verify-conjecture", "--k-max", "2", *extra)
+        assert rc == 2
+        assert out == ""
+        assert message in err
+
 
 class TestSignatureCheck:
     def test_summary_reports_residuals(self, capsys):

@@ -220,6 +220,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'model.sigma' must be positive"):
             run_config(cfg)
 
+    def test_nan_positive_value_rejected(self):
+        cfg = ExperimentConfig(
+            experiment="conjecture-scan", params={"tol.growth_factor": "nan"}
+        )
+        with pytest.raises(ConfigError, match="'tol.growth_factor' must be positive"):
+            run_config(cfg)
+
     def test_resolved_params_and_override(self):
         cfg = ExperimentConfig(
             experiment="expansion-residual",
@@ -391,22 +398,7 @@ class TestConjectureScanSummary:
         result = run_config(
             ExperimentConfig(experiment="conjecture-scan", replicates=2, params=params)
         )
-        report = conjecture_scan((0.3, 0.5), (8, 16, 32), 4, growth_factor=1.5)
-        fresh = {
-            "growth_factor": report.growth_factor,
-            "cells": [
-                {
-                    "hurst": c.hurst,
-                    "size": c.size,
-                    "trace_zero": c.trace_zero,
-                    "max_abs_trace": c.max_abs_trace,
-                    "max_abs_pair_trace": c.max_abs_pair_trace,
-                }
-                for c in report.cells
-            ],
-            "counterexamples": report.counterexamples,
-            "ok": report.ok,
-        }
+        fresh = conjecture_scan((0.3, 0.5), (8, 16, 32), 4, growth_factor=1.5).summary()
         summary = {
             key: value
             for key, value in result.summary.items()

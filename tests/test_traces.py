@@ -1,115 +1,91 @@
-"""Shifted-Gram trace tests: brute-force dense reconstruction of the Gram
-matrices, the exact identity-block and white-noise values, the Wick moment
-identity re-derived through the double-window quadratic-form formula, Monte
-Carlo agreement, and the scan's flagging mechanics."""
+"""Shifted-Gram trace tests: the scan cell's traces and pair traces against
+dense reconstructions of the Gram matrices, the exact identity-block and
+white-noise values, the cell's memory bound, the Wick moment identity
+re-derived through the double-window quadratic-form formula, Monte Carlo
+agreement, and the scan's flagging mechanics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fraclab import (
-    FgnCovariance,
-    SeedSpec,
-    build_shift_gram,
-    conjecture_scan,
-    q_moment,
-    shift_gram_stack,
-    unit_autocovariance,
-)
-from fraclab.traces import cross_covariance_window
-from oracles import dense_covariance
+from fraclab import SeedSpec, conjecture_scan, q_moment, unit_autocovariance
+from fraclab.traces import SIZE_CAP, _scan_cell, scan_report
+from oracles import dense_gram
 
 
-def dense_gram(hurst, size, shift):
-    """G^{shift,0} from first principles with dense nested-loop matrices."""
-    gamma = unit_autocovariance(hurst, np.arange(2 * size))
-    sigma = np.empty((size, size))
-    window = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            sigma[i, j] = gamma[abs(i - j)]
-            window[i, j] = gamma[abs(shift + i - j)]
-    return np.linalg.solve(sigma, window)
-
-
-class TestCrossCovarianceWindow:
-    def test_zero_shift_is_increment_covariance(self):
-        got = cross_covariance_window(0.7, 12, 0, 0)
-        np.testing.assert_allclose(
-            got, dense_covariance(FgnCovariance(0.7, 1.0, 12)), rtol=1e-14
-        )
-
-    def test_entries_from_scalar_formula(self):
-        hurst, size, k, l = 0.3, 6, 3, 1
-        gamma = unit_autocovariance(hurst, np.arange(2 * size))
-        got = cross_covariance_window(hurst, size, k, l)
-        for i in range(size):
-            for j in range(size):
-                assert got[i, j] == pytest.approx(
-                    gamma[abs(k + i - l - j)], rel=1e-14
-                )
-
-    def test_shift_validation(self):
-        with pytest.raises(ValueError, match="shifts"):
-            cross_covariance_window(0.7, 8, 9, 0)
-        with pytest.raises(ValueError, match="shifts"):
-            cross_covariance_window(0.7, 8, 0, -1)
+def dense_tables(hurst, size, k_max):
+    """Tr(A_k) and Tr(A_k A_l), k, l = 0..k_max, from dense Gram matrices."""
+    grams = [dense_gram(hurst, size, k) for k in range(k_max + 1)]
+    traces = np.array([np.trace(g) for g in grams])
+    pairs = np.array([[np.trace(a @ b) for b in grams] for a in grams])
+    return traces, pairs
 
 
 class TestShiftGram:
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
     @pytest.mark.parametrize("shift", [0, 1, 5])
     def test_matches_dense_reconstruction(self, hurst, shift):
-        g = build_shift_gram(hurst, 12, shift)
-        np.testing.assert_allclose(
-            g.matrix, dense_gram(hurst, 12, shift), rtol=1e-9, atol=1e-12
-        )
+        cell = _scan_cell(hurst, 12, shift)
+        traces, pairs = dense_tables(hurst, 12, shift)
+        np.testing.assert_allclose(cell.traces, traces, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cell.pair_traces, pairs, rtol=1e-9, atol=1e-12)
+
+    @given(
+        size=st.integers(2, 40),
+        hurst=st.floats(0.02, 0.98),
+        data=st.data(),
+    )
+    def test_cell_matches_dense_tables(self, size, hurst, data):
+        k_max = data.draw(st.integers(0, size))
+        cell = _scan_cell(hurst, size, k_max)
+        traces, pairs = dense_tables(hurst, size, k_max)
+        np.testing.assert_allclose(cell.traces, traces, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(cell.pair_traces, pairs, rtol=1e-9, atol=1e-10)
 
     @pytest.mark.parametrize("size", [8, 64, 256])
     @pytest.mark.parametrize("hurst", [0.3, 0.55, 0.7])
     def test_zero_shift_trace_is_size(self, size, hurst):
-        g = build_shift_gram(hurst, size, 0)
-        assert abs(g.trace - size) / size < 1e-8
+        cell = _scan_cell(hurst, size, 0)
+        assert abs(cell.trace_zero - size) / size < 1e-12
 
     def test_white_noise_traces_vanish(self):
         # at hurst 1/2 the Gram matrices are pure shifts: all k >= 1 traces
         # and all off-diagonal pair traces are exactly zero
-        grams = [build_shift_gram(0.5, 16, k) for k in range(5)]
-        for k in range(1, 5):
-            assert abs(grams[k].trace) < 1e-10
-            for l in range(k):
-                assert abs(grams[k].pair_trace(grams[l])) < 1e-10
-        assert grams[0].pair_trace(grams[0]) == pytest.approx(16.0, rel=1e-12)
+        cell = _scan_cell(0.5, 16, 4)
+        assert np.all(np.abs(cell.traces[1:]) < 1e-10)
+        off = ~np.eye(5, dtype=bool)
+        assert np.all(np.abs(cell.pair_traces[off]) < 1e-10)
+        assert cell.pair_traces[0, 0] == pytest.approx(16.0, rel=1e-12)
 
     def test_pair_trace_symmetric_and_explicit(self):
-        a = build_shift_gram(0.7, 10, 2)
-        b = build_shift_gram(0.7, 10, 4)
-        assert a.pair_trace(b) == pytest.approx(b.pair_trace(a), rel=1e-10)
-        assert a.pair_trace(b) == pytest.approx(
-            float(np.trace(a.matrix @ b.matrix)), rel=1e-10
+        cell = _scan_cell(0.7, 10, 4)
+        np.testing.assert_array_equal(cell.pair_traces, cell.pair_traces.T)
+        assert cell.pair_traces[2, 4] == pytest.approx(
+            float(np.trace(dense_gram(0.7, 10, 2) @ dense_gram(0.7, 10, 4))),
+            rel=1e-10,
         )
 
-    def test_pair_trace_mismatch_rejected(self):
-        a = build_shift_gram(0.7, 10, 2)
-        b = build_shift_gram(0.7, 12, 2)
-        with pytest.raises(ValueError, match="matching"):
-            a.pair_trace(b)
-
-    def test_stack_matches_individual_builds(self):
-        stack = shift_gram_stack(0.7, 16, 4)
-        assert stack.shape == (5, 16, 16)
-        for k in range(5):
-            np.testing.assert_allclose(
-                stack[k], build_shift_gram(0.7, 16, k).matrix, rtol=1e-11, atol=1e-13
-            )
+    def test_peak_memory_bounded(self):
+        # one (N + k_max) x N solution, not k_max + 1 dense N x N blocks
+        _scan_cell(0.7, 512, 16)  # warm the generator cache
+        tracemalloc.start()
+        try:
+            _scan_cell(0.7, 512, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_shift_validation(self):
-        with pytest.raises(ValueError, match="shift"):
-            build_shift_gram(0.7, 8, 9)
         with pytest.raises(ValueError, match="k_max"):
-            shift_gram_stack(0.7, 8, 9)
+            _scan_cell(0.7, 8, 9)
+        with pytest.raises(ValueError, match="scan cap"):
+            _scan_cell(0.7, SIZE_CAP + 1, 1)
 
 
 class TestQMoment:
@@ -165,6 +141,12 @@ class TestQMoment:
         with pytest.raises(ValueError, match="shifts"):
             q_moment(0.7, 8, 9, 0)
 
+    @pytest.mark.parametrize("samples", [-5, 1])
+    def test_sample_count_validation(self, samples):
+        # one draw has no standard error; a negative count is meaningless
+        with pytest.raises(ValueError, match="samples"):
+            q_moment(0.7, 8, 1, 0, samples=samples)
+
 
 class TestConjectureScan:
     def test_small_grid_passes(self):
@@ -197,11 +179,10 @@ class TestConjectureScan:
         report = conjecture_scan([0.7], [4], k_max=16)
         assert report.cells[0].traces.shape == (5,)
 
-    def test_size_cap_enforced_and_overridable(self):
-        with pytest.raises(ValueError, match="exceeds the scan cap"):
-            conjecture_scan([0.7], [600], k_max=1)
-        report = conjecture_scan([0.7], [514], k_max=1, max_size=600)
-        assert report.cells[0].size == 514
+    def test_size_cap_enforced(self):
+        assert SIZE_CAP == 1024
+        with pytest.raises(ValueError, match="exceeds the scan cap 1024"):
+            conjecture_scan([0.7], [8, SIZE_CAP + 1], k_max=1)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -212,3 +193,13 @@ class TestConjectureScan:
             conjecture_scan([0.7], [1])
         with pytest.raises(ValueError, match="growth_factor"):
             conjecture_scan([0.7], [8], growth_factor=0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -1.0])
+    def test_growth_factor_must_be_finite_and_positive(self, factor):
+        # a NaN factor would make every growth comparison false and so
+        # switch the boundedness check off
+        with pytest.raises(ValueError, match="finite and positive"):
+            conjecture_scan([0.7], [8, 16], k_max=4, growth_factor=factor)
+        cells = conjecture_scan([0.7], [8, 16], k_max=4).cells
+        with pytest.raises(ValueError, match="finite and positive"):
+            scan_report(cells, factor)
