@@ -6,12 +6,14 @@ estimation test system.
 Every fractional stream comes from one engine: the exact 2m-circulant
 embedding of a stationary increment law at the 5-smooth half-size
 m = ``scipy.fft.next_fast_len(n, real=True)`` >= n, truncated to the first n
-samples.  The law is unit fGn (i.i.d. normals at H = 1/2) or, for
-:func:`sample_slow_component`, the slow component's node increments, whose
+samples.  The law is unit fGn (i.i.d. normals at H = 1/2), the slow
+component's node increments for :func:`sample_slow_component`, whose
 autocovariance adds the second difference of the stationary fOU covariance
-to fGn's.  The joint slow/fast/driver sample (:func:`sample_physical_fbm`)
-and the two-timescale system run a recursion on a refined sub-grid driven by
-one such fGn stream.
+to fGn's, or unit fGn summed over the sub-steps of a cell with geometric
+weights, the fractional part of :func:`sample_tfe_system`'s cell law.  The
+joint slow/fast/driver sample (:func:`sample_physical_fbm`) runs a recursion
+on a refined sub-grid driven by one fGn stream; the two-timescale system is
+drawn at its nodes from the exact cell law of its sub-grid scheme.
 
 Sampling is deterministic in (parameters, grid, seed): the same inputs always
 reproduce the same values bit for bit.  Replicates draw from independent
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -60,6 +63,21 @@ _SQRT_HALF = math.sqrt(0.5)
 # memory an unembeddable law takes before NumericFailure.  eps/delta = 1000
 # embeds by m = 4096 at H = 0.7 and by m = 32768 at H = 0.98.
 _MAX_GROWN_HALF_SIZE = 2**16
+# Most sub-steps per observation cell a refined sampler or the two-timescale
+# cell law is built with (eps = 1e-5 at delta = 0.1 and refine 16 needs
+# 160 000).
+_MAX_SUBSTEPS = 2**20
+# Lags per block when a cell-sum autocovariance is evaluated: bounds its
+# transient memory at about this many doubles per temporary.
+_LAG_BLOCK = 2**16
+
+
+class _CellSum(NamedTuple):
+    """Law key of unit fGn summed over ``substeps`` sub-steps with weights
+    a^(substeps-1-i), i = 0..substeps-1: one value per cell."""
+
+    a: float
+    substeps: int
 
 
 def _slow_unit_autocovariance(hurst: float, ratio: float, m: int) -> np.ndarray:
@@ -81,23 +99,48 @@ def _slow_unit_autocovariance(hurst: float, ratio: float, m: int) -> np.ndarray:
     return row
 
 
-@functools.lru_cache(maxsize=16)
-def _circulant_roots(hurst: float, ratio: float, m: int) -> np.ndarray:
-    """sqrt of the eigenvalues 0..m of the 2m-circulant embedding of the
-    unit-law autocovariance g(0..m) at ratio = eps/delta (ratio 0 is fGn);
-    eigenvalues m+1..2m-1 mirror 1..m-1.
+def _cell_unit_autocovariance(hurst: float, law: _CellSum, m: int) -> np.ndarray:
+    """R(0..m): autocovariance of V_k = sum_i a^(s-1-i) g_{ks+i} over cells,
+    with g unit fGn and s = law.substeps:
 
-    Cached per (hurst, ratio, m), so stream lengths that round up to the
+        R(l) = sum_{|d| < s} W(d) gamma_1(|l s - d|),
+        W(d) = a^|d| sum_{q < s-|d|} a^(2q)   (s - |d| at a = 1),
+
+    W being the autocorrelation of the weights.  Lags are taken in blocks,
+    so memory is O(s), not O(m s)."""
+    a, s = law
+    d = np.arange(1 - s, s)
+    partial = np.cumsum(a ** (2.0 * np.arange(s)))
+    weight = a ** np.abs(d) * partial[s - 1 - np.abs(d)]
+    row = np.empty(m + 1)
+    block = max(1, _LAG_BLOCK // d.size)
+    for start in range(0, m + 1, block):
+        lags = np.arange(start, min(start + block, m + 1))
+        row[lags] = unit_autocovariance(hurst, np.abs(lags[:, None] * s - d)) @ weight
+    return row
+
+
+@functools.lru_cache(maxsize=16)
+def _circulant_roots(hurst: float, law: float | _CellSum, m: int) -> np.ndarray:
+    """sqrt of the eigenvalues 0..m of the 2m-circulant embedding of the
+    unit-law autocovariance at half-size m; eigenvalues m+1..2m-1 mirror
+    1..m-1.  ``law`` is eps/delta for the slow component's increments (0 is
+    fGn) or a :class:`_CellSum`.
+
+    Cached per (hurst, law, m), so stream lengths that round up to the
     same m share an entry; bounded so sweeps over many sizes cannot
     accumulate unbounded memory.
     """
-    row = _slow_unit_autocovariance(hurst, ratio, m)
+    if isinstance(law, _CellSum):
+        row, name = _cell_unit_autocovariance(hurst, law, m), law
+    else:
+        row, name = _slow_unit_autocovariance(hurst, law, m), f"eps/delta={law}"
     circ = np.concatenate([row, row[-2:0:-1]])  # length 2m
     lam = np.fft.rfft(circ).real / (2 * m)
     floor = -1e-8 * lam.max()
     if not lam.min() >= floor:  # also true for NaN
         raise NumericFailure(
-            f"circulant embedding (H={hurst}, eps/delta={ratio}, m={m}) has "
+            f"circulant embedding (H={hurst}, {name}, m={m}) has "
             f"eigenvalue {lam.min():.3e}; cannot sample exactly"
         )
     roots = np.sqrt(np.clip(lam, 0.0, None))
@@ -106,7 +149,7 @@ def _circulant_roots(hurst: float, ratio: float, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _embedding_half_size(hurst: float, ratio: float, n: int) -> int:
+def _embedding_half_size(hurst: float, law: float | _CellSum, n: int) -> int:
     """The half-size m >= n a length-n stream embeds at: the 5-smooth
     next_fast_len(n, real=True), doubled while the embedding is not
     non-negative definite (Wood & Chan, JCGS 3, 1994), which happens for
@@ -116,7 +159,7 @@ def _embedding_half_size(hurst: float, ratio: float, n: int) -> int:
     m = next_fast_len(n, real=True)
     while True:
         try:
-            _circulant_roots(hurst, ratio, m)
+            _circulant_roots(hurst, law, m)
             return m
         except NumericFailure:
             if m >= _MAX_GROWN_HALF_SIZE:
@@ -125,10 +168,17 @@ def _embedding_half_size(hurst: float, ratio: float, n: int) -> int:
 
 
 def _unit_stream(
-    rng: np.random.Generator, hurst: float, n: int, ratio: float = 0.0
+    rng: np.random.Generator,
+    hurst: float,
+    n: int,
+    law: float | _CellSum = 0.0,
+    batch: int | None = None,
 ) -> np.ndarray:
-    """One exact stream of length n with the unit law g at ratio = eps/delta:
-    unit-step fGn at ratio 0, the slow component's increments otherwise.
+    """One exact stream of length n with a unit law (see ``_circulant_roots``):
+    unit-step fGn at law 0, the slow component's increments at law
+    eps/delta > 0, cell sums at a :class:`_CellSum`.  With ``batch``, a
+    (batch, n) array of independent streams equal, bit for bit, to ``batch``
+    successive calls.
 
     Unit fGn at H = 1/2 reduces to i.i.d. standard normals.  Every other law
     uses the 2m-circulant embedding (Davies-Harte; Wood & Chan, JCGS 3,
@@ -139,22 +189,23 @@ def _unit_stream(
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
-    if hurst == 0.5 and ratio == 0.0:
-        return rng.standard_normal(n)
-    m = _embedding_half_size(hurst, ratio, n)
-    roots = _circulant_roots(hurst, ratio, m)
+    lead = () if batch is None else (batch,)
+    if hurst == 0.5 and law == 0.0:
+        return rng.standard_normal(lead + (n,))
+    m = _embedding_half_size(hurst, law, n)
+    roots = _circulant_roots(hurst, law, m)
     # Complex normals on bins 0..m: bins 0 and m are real.  Draw order (real
     # parts 0..m, then imaginary parts 1..m-1) is part of the contract.
     # irfft's kernel is the conjugate of the forward FFT's, so the imaginary
     # parts enter with a minus sign to give the forward-FFT realisation.
-    z = rng.standard_normal(2 * m)
-    z[1:m] *= _SQRT_HALF
-    z[m + 1 :] *= -_SQRT_HALF
-    half = np.empty(m + 1, dtype=complex)
-    np.multiply(z[: m + 1], roots, out=half.real)
-    np.multiply(z[m + 1 :], roots[1:m], out=half.imag[1:m])
-    half.imag[0] = half.imag[m] = 0.0
-    return np.fft.irfft(half, 2 * m, norm="forward")[:n]
+    z = rng.standard_normal(lead + (2 * m,))
+    z[..., 1:m] *= _SQRT_HALF
+    z[..., m + 1 :] *= -_SQRT_HALF
+    half = np.empty(lead + (m + 1,), dtype=complex)
+    np.multiply(z[..., : m + 1], roots, out=half.real)
+    np.multiply(z[..., m + 1 :], roots[1:m], out=half.imag[..., 1:m])
+    half.imag[..., 0] = half.imag[..., m] = 0.0
+    return np.fft.irfft(half, 2 * m, norm="forward")[..., :n]
 
 
 def sample_fgn(
@@ -176,14 +227,23 @@ def _substeps_per_cell(
     lam: float, delta: float, refine: int, max_substeps: int | None
 ) -> int:
     """Sub-steps per observation cell: at least `refine`, scaled up so the
-    kernel sees lam*h <= 1/refine, optionally capped."""
+    kernel sees lam*h <= 1/refine, optionally capped; ValueError above
+    _MAX_SUBSTEPS."""
     if refine < 1:
         raise ValueError(f"refine must be >= 1, got {refine}")
-    m = max(refine, math.ceil(refine * lam * delta))
+    scale = refine * lam * delta
+    if not math.isfinite(scale):
+        raise ValueError(f"refine * lam * delta must be finite, got {scale}")
+    m = max(refine, math.ceil(scale))
     if max_substeps is not None:
         if max_substeps < 1:
             raise ValueError(f"max_substeps must be >= 1, got {max_substeps}")
         m = min(m, max_substeps)
+    if m > _MAX_SUBSTEPS:
+        raise ValueError(
+            f"{m} sub-steps per cell exceed the cap of {_MAX_SUBSTEPS}; "
+            "raise epsilon, lower delta or refine, or set max_substeps"
+        )
     return m
 
 
@@ -430,6 +490,41 @@ def sample_slow_component(
     return Trajectory(grid, np.concatenate(([0.0], np.cumsum(increments))))
 
 
+@functools.lru_cache(maxsize=32)
+def _tfe_cell_law(
+    rate: float, th: float, m: int
+) -> tuple[float, float, float, float, float, float, float]:
+    """The sub-grid scheme of :func:`sample_tfe_system` aggregated over the m
+    sub-steps of one cell, at rate = h/eps and th = theta h.
+
+    With b = e^-rate, s = sqrt(1 - b^2), a = 1 - th + th^2/2 and xi_j
+    i.i.d. N(0, 1), the scheme's sub-steps
+
+        y_{j+1} = b y_j + s xi_j,
+        x_{j+1} = a x_j + (h/2) [(1 - th) y_j + y_{j+1}] + noise_j
+
+    give per cell Y_{k+1} = b^m Y_k + sum_j v_j xi_j and
+    X_{k+1} = a^m X_k + (h/2) (p Y_k + sum_j u_j xi_j) + noise, with
+    v_j = s b^(m-1-j), u_j = s [a^(m-1-j) + (1 - th + b) t_j],
+    p = (1 - th + b) t_{-1} and t_i = sum_{j>i} a^(m-1-j) b^(j-1-i).  The
+    pair of xi sums is i.i.d. N(0, Q) over cells, drawn through the
+    Cholesky factor of Q, whose residual is clipped at 0 (rank 1 at m = 1).
+
+    Returns (a, a^m, b^m, p, l11, l21, l22).
+    """
+    b = math.exp(-rate)
+    s = math.sqrt(-math.expm1(-2.0 * rate))
+    a = 1.0 - th + 0.5 * th * th
+    # t_{m-1-k}, k = 0..m, by the reversed filter t_{i-1} = a^(m-1-i) + b t_i
+    t = lfilter([1.0], [1.0, -b], np.concatenate(([0.0], a ** np.arange(m))))[::-1]
+    v = s * b ** np.arange(m - 1, -1, -1.0)
+    u = s * (a ** np.arange(m - 1, -1, -1.0) + (1.0 - th + b) * t[1:])
+    l11 = math.sqrt(v @ v)
+    l21 = (v @ u) / l11 if l11 > 0.0 else 0.0
+    l22 = math.sqrt(max(u @ u - l21 * l21, 0.0))
+    return a, a**m, b**m, (1.0 - th + b) * t[0], l11, l21, l22
+
+
 @dataclass(frozen=True)
 class TfeSystemSample:
     """Sample of the two-timescale test system.
@@ -462,12 +557,18 @@ def sample_tfe_system(
     max_substeps: int | None = None,
     stream: int = 0,
 ) -> TfeSystemSample:
-    """Integrate the two-timescale system on a refined sub-grid.
+    """Draw the two-timescale system at the nodes from the exact law of its
+    sub-grid scheme, with no sub-grid arrays.
 
-    The fast component is stepped with its exact transition (Brownian case),
-    the slow line by the explicit trapezoid rule on the drift with the
-    fractional noise added per sub-step.  ``y0=None`` draws the stationary
-    start N(0, 1).  At eta = 0 no fractional stream is generated.
+    The scheme takes h = delta/m with m from ``refine``/``max_substeps``:
+    the fast component is stepped with its exact transition (Brownian
+    case), the slow line by the explicit trapezoid rule on the drift with
+    the fractional noise sqrt(eta) (1 - theta h/2) h^H g_j added per
+    sub-step, g unit fGn.  Its node law is a linear recursion per cell
+    (``_tfe_cell_law``) whose fractional part is the :class:`_CellSum` of g,
+    one circulant stream of one value per cell.  ``y0=None`` draws the
+    stationary start N(0, 1); the fast generator then draws 2 * count
+    normals.  At eta = 0 no fractional stream is generated.
     """
     if theta < 0 or not np.isfinite(theta):
         raise ValueError(f"theta must be >= 0, got {theta}")
@@ -480,44 +581,31 @@ def sample_tfe_system(
 
     m = _substeps_per_cell(1.0 / epsilon, grid.delta, refine, max_substeps)
     h = grid.delta / m
-    n_fine = grid.count * m
+    th = theta * h
+    a, a_cell, b_cell, p, l11, l21, l22 = _tfe_cell_law(h / epsilon, th, m)
 
     fast_rng = seed.rng(stream + STREAM_BROWNIAN)
     if y0 is None:
         y0 = float(fast_rng.standard_normal())
-    a_fast = math.exp(-h / epsilon)
-    innov_sd = math.sqrt(-math.expm1(-2.0 * h / epsilon))
-    # One buffer serves as both filters' input: the start value first, so
-    # lfilter runs from a zero state and returns it as the first node.
-    buf = np.empty(n_fine + 1)
-    buf[0] = y0
-    fast_rng.standard_normal(out=buf[1:])
-    buf[1:] *= innov_sd
-    y_fine = lfilter([1.0], [1.0, -a_fast], buf)  # fast values at all fine nodes
-
-    # explicit trapezoid on the drift, with a = 1 - theta h + (theta h)^2 / 2:
-    #   X_{j+1} = a X_j + (h/2) ((1 - theta h) Y_j + Y_{j+1} + noise_j / (h/2))
-    th = theta * h
-    a_slow = 1.0 - th + 0.5 * th * th
-    drive = buf
+    z = fast_rng.standard_normal((2, grid.count))
+    # The start value leads each filter's input, so lfilter runs from a zero
+    # state and returns it as the first node.
+    y = lfilter([1.0], [1.0, -b_cell], np.concatenate(([y0], l11 * z[0])))
+    drive = np.empty(grid.count + 1)
     drive[0] = x0
-    np.multiply(y_fine[:-1], 1.0 - th, out=drive[1:])
-    drive[1:] += y_fine[1:]
+    drive[1:] = (0.5 * h) * (p * y[:-1] + l21 * z[0] + l22 * z[1])
     if eta > 0.0:
         driver_rng = seed.rng(stream + STREAM_DRIVER)
-        noise = _unit_stream(driver_rng, hurst, n_fine)
-        noise *= math.sqrt(eta) * (1.0 - 0.5 * th) * h**hurst / (0.5 * h)
-        drive[1:] += noise
-    drive[1:] *= 0.5 * h
-    x_fine = lfilter([1.0], [1.0, -a_slow], drive)
+        noise = _unit_stream(driver_rng, hurst, grid.count, _CellSum(a, m))
+        drive[1:] += (math.sqrt(eta) * (1.0 - 0.5 * th) * h**hurst) * noise
+    x = lfilter([1.0], [1.0, -a_cell], drive)
 
-    take = np.arange(0, n_fine + 1, m)
     return TfeSystemSample(
         theta=theta,
         eta=eta,
         epsilon=epsilon,
         hurst=hurst,
         grid=grid,
-        slow=Trajectory(grid, x_fine[take]),
-        fast=Trajectory(grid, y_fine[take]),
+        slow=Trajectory(grid, x),
+        fast=Trajectory(grid, y),
     )

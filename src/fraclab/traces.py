@@ -238,7 +238,7 @@ def q_moment(
     all read from one scan cell at k_max = max(k, l).
 
     With ``samples`` >= 2, also estimates the moment from that many
-    double-length unit-step fGn streams, drawn in turn from ``seed``'s
+    double-length unit-step fGn streams, drawn as one batch from ``seed``'s
     generator through the circulant engine.  ``samples`` = 0 (the default)
     skips the estimate; one sample has no standard error and is rejected.
     """
@@ -259,7 +259,7 @@ def q_moment(
     elif isinstance(seed, int):
         seed = SeedSpec(master=seed)
     rng = seed.rng()
-    draws = np.stack([_unit_stream(rng, hurst, 2 * size) for _ in range(samples)])
+    draws = _unit_stream(rng, hurst, 2 * size, batch=samples)
     base_solved = FgnCovariance(hurst, 1.0, size).solve(draws[:, :size].T)
     q_k = np.einsum("si,is->s", draws[:, k : k + size], base_solved)
     q_l = np.einsum("si,is->s", draws[:, l : l + size], base_solved)

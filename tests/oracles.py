@@ -165,3 +165,61 @@ def quadrature_signature(samples: np.ndarray, level: int, refine: int = 2000) ->
                 results[word + (j,)] = float(new[-1])
         frontier = nxt
     return results
+
+
+def tfe_scheme_node_law(
+    theta: float,
+    eta: float,
+    epsilon: float,
+    hurst: float,
+    delta: float,
+    count: int,
+    substeps: int,
+    x0: float,
+    y0: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (X_0..X_count, Y_0..Y_count) under the
+    two-timescale sub-grid scheme, stepped one sub-step at a time as linear
+    maps of its inputs: with h = delta/substeps, b = e^{-h/eps},
+    a = 1 - theta h + (theta h)^2/2 and c = sqrt(eta) (1 - theta h/2) h^H,
+
+        y_{j+1} = b y_j + sqrt(1 - b^2) xi_j,
+        x_{j+1} = a x_j + (h/2) ((1 - theta h) y_j + y_{j+1}) + c g_j,
+
+    xi i.i.d. N(0, 1), g unit fGn with its dense Toeplitz covariance, and
+    y_0 ~ N(0, 1) when ``y0`` is None."""
+    n = count * substeps
+    h = delta / substeps
+    th = theta * h
+    b = math.exp(-h / epsilon)
+    s = math.sqrt(1.0 - b * b)
+    a = 1.0 - th + 0.5 * th * th
+    c = math.sqrt(eta) * (1.0 - 0.5 * th) * h**hurst
+    # coefficients over the inputs (1, y_0, xi_0..xi_{n-1}, g_0..g_{n-1})
+    x = np.zeros(2 + 2 * n)
+    y = np.zeros(2 + 2 * n)
+    x[0] = x0
+    y[1] = 1.0
+    xs, ys = [x], [y]
+    for j in range(n):
+        y_next = b * y
+        y_next[2 + j] += s
+        x = a * x + 0.5 * h * ((1.0 - th) * y + y_next)
+        x[2 + n + j] += c
+        y = y_next
+        if (j + 1) % substeps == 0:
+            xs.append(x)
+            ys.append(y)
+    maps = np.array(xs + ys)
+    k = np.arange(n, dtype=float)
+    a2 = 2.0 * hurst
+    gamma = 0.5 * (np.abs(k + 1) ** a2 - 2.0 * np.abs(k) ** a2 + np.abs(k - 1) ** a2)
+    inputs = np.zeros((2 + 2 * n, 2 + 2 * n))
+    inputs[2 : 2 + n, 2 : 2 + n] = np.eye(n)
+    inputs[2 + n :, 2 + n :] = sla.toeplitz(gamma)
+    if y0 is None:
+        inputs[1, 1] = 1.0
+        mean = maps[:, 0]
+    else:
+        mean = maps[:, 0] + y0 * maps[:, 1]
+    return mean, maps @ inputs @ maps.T

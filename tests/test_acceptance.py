@@ -6,8 +6,8 @@ Each test prints a single ``[criterion NN] PASS/FAIL -- detail`` line (run with
 Statistical checks run the experiment registry at its default replicate counts
 with fixed seeds, so every number below is reproducible bit-for-bit.
 
-The full suite takes about seven minutes on four cores; the heavy Monte Carlo
-runs use worker processes.
+The full suite takes about 15 seconds on two cores; the heavy Monte Carlo
+runs use four worker processes.
 
 Criterion 11 asserts three clauses on twenty seeds: the across-seed mean
 rough-path distance strictly decreases at every dyadic refinement, every

@@ -105,6 +105,16 @@ class TestSimulate:
         assert rc == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("eps, message", [("5e-324", "finite"), ("1e-9", "cap of")])
+    def test_hostile_epsilon_exits_2(self, capsys, eps, message):
+        # an infinite or oversized sub-grid is refused before it is built
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "tfe", "--epsilon", eps,
+            "--delta", "0.01", "--count", "100",
+        )
+        assert rc == 2 and out == ""
+        assert message in err
+
 
 class TestFitPipeline:
     def test_simulate_then_mle(self, capsys, tmp_path):

@@ -3,9 +3,12 @@ statistical covariance checks against the analytic autocovariance, with
 fixed seeds so every tolerance is a deterministic margin."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
@@ -32,7 +35,7 @@ from fraclab import (
 )
 from fraclab import fgn, simulate
 from fraclab.grids import STREAM_BROWNIAN, STREAM_DRIVER
-from oracles import fou_autocovariance_hyp1f2, naive_circulant_fgn
+from oracles import fou_autocovariance_hyp1f2, naive_circulant_fgn, tfe_scheme_node_law
 
 
 def pooled_autocovariance(rows: np.ndarray, lag: int) -> float:
@@ -116,6 +119,16 @@ class TestSampleFgn:
                     while length % p == 0:
                         length //= p
                 assert length == 1, f"count {count}: prime factor above 5"
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+    def test_batch_equals_successive_streams(self, hurst):
+        # a leading batch fills the generator in the order of successive
+        # calls and transforms each row alone: bit-identical streams
+        loop_rng, batch_rng = np.random.default_rng(8), np.random.default_rng(8)
+        loop = np.stack([simulate._unit_stream(loop_rng, hurst, 100) for _ in range(300)])
+        batch = simulate._unit_stream(batch_rng, hurst, 100, batch=300)
+        np.testing.assert_array_equal(batch, loop)
+        assert loop_rng.random() == batch_rng.random()
 
     def test_hurst_half_is_scaled_white_noise(self):
         # at H = 1/2 the increments are the raw normal stream times
@@ -605,3 +618,141 @@ class TestTfeSystem:
         for h in (0.5, 0.3, 1.0):
             with pytest.raises(ValueError, match="hurst"):
                 sample_tfe_system(1.0, 0.01, 0.05, h, grid, seed)
+
+    def test_cell_sum_embeds_at_default_legs(self, fresh_roots):
+        # tfe-sweep's legs (delta = 0.01, 100 cells, refine 4, theta = 1):
+        # the cell-sum law passes the floor check at the minimal half-size
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+            m = simulate._substeps_per_cell(1.0 / eps, 0.01, 4, None)
+            th = 0.01 / m
+            law = simulate._CellSum(1.0 - th + 0.5 * th * th, m)
+            assert simulate._embedding_half_size(0.7, law, 100) == 100
+        assert m == 4000
+
+    def test_cell_sum_at_one_substep_is_fgn(self, fresh_roots):
+        law = simulate._CellSum(0.9, 1)
+        np.testing.assert_array_equal(
+            simulate._circulant_roots(0.7, law, 64), simulate._circulant_roots(0.7, 0.0, 64)
+        )
+
+    def test_unembeddable_cell_sum_names_its_law(self, fresh_roots):
+        # overflowing weights give a NaN autocovariance: the doubling stops
+        # at its cap and the failure names the law
+        law = simulate._CellSum(1e200, 4)
+        cap = simulate._MAX_GROWN_HALF_SIZE
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match=rf"substeps=4\), m={cap}\)"):
+                simulate._unit_stream(np.random.default_rng(0), 0.7, 8, law)
+
+    def test_no_sub_grid_arrays(self):
+        # eps = 1e-5 at delta = 0.1 takes 160 000 sub-steps per cell: once
+        # the laws are cached, a draw allocates O(count), far below the
+        # count * m doubles of a sub-grid
+        grid = SamplingGrid(delta=0.1, count=10)
+        sample_tfe_system(1.0, 0.01, 1e-5, 0.7, grid, SeedSpec(1))
+        tracemalloc.start()
+        try:
+            sample_tfe_system(1.0, 0.01, 1e-5, 0.7, grid, SeedSpec(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 * 160_000 / 100
+
+    def test_substep_count_is_capped(self):
+        # a non-finite or oversized sub-grid is refused before any allocation
+        with pytest.raises(ValueError, match="finite"):
+            simulate._substeps_per_cell(math.inf, 0.01, 16, None)
+        cap = simulate._MAX_SUBSTEPS
+        assert cap >= 160_000
+        with pytest.raises(ValueError, match=rf"cap of {cap}"):
+            simulate._substeps_per_cell(1e9, 0.01, 16, None)
+        assert simulate._substeps_per_cell(1e9, 0.01, 16, 1000) == 1000
+        grid = SamplingGrid(delta=0.01, count=100)
+        for eps in (1e-9, 5e-324):
+            with pytest.raises(ValueError, match="sub-steps|finite"):
+                sample_tfe_system(1.0, 0.01, eps, 0.7, grid, SeedSpec(0))
+
+
+class _ProbeRng:
+    """Stands in for a generator: every normal it hands out is 0, except the
+    one at index ``unit`` of its sequence, which is 1."""
+
+    def __init__(self, unit: int):
+        self.unit, self.used = unit, 0
+
+    def standard_normal(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out = np.zeros(n)
+        if 0 <= self.unit - self.used < n:
+            out[self.unit - self.used] = 1.0
+        self.used += n
+        return out[0] if size is None else out.reshape(size)
+
+
+class _ProbeSeed:
+    """A seed whose generators are probes: unit normal ``unit`` on ``stream``."""
+
+    def __init__(self, stream: int = -1, unit: int = -1):
+        self.stream, self.unit, self.rngs = stream, unit, {}
+
+    def rng(self, stream: int) -> _ProbeRng:
+        self.rngs[stream] = _ProbeRng(self.unit if stream == self.stream else -1)
+        return self.rngs[stream]
+
+
+def _sampler_node_law(*args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (X, Y) at the nodes that sample_tfe_system
+    draws: it is linear in its standard normals, so the mean is its value at
+    zero normals and the covariance is J J' over the unit-normal responses."""
+
+    def nodes(seed):
+        s = sample_tfe_system(*args, seed=seed, **kwargs)
+        return np.concatenate([s.slow.values, s.fast.values])
+
+    counter = _ProbeSeed()
+    mean = nodes(counter)
+    cols = [
+        nodes(_ProbeSeed(stream, i)) - mean
+        for stream, rng in counter.rngs.items()
+        for i in range(rng.used)
+    ]
+    jac = np.array(cols).T
+    return mean, jac @ jac.T
+
+
+class TestTfeNodeLaw:
+    """The node draw against the sub-grid scheme it aggregates, stepped one
+    sub-step at a time (``oracles.tfe_scheme_node_law``)."""
+
+    @given(
+        st.floats(0.0, 3.0),
+        st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+        st.floats(1e-3, 2.0),
+        st.floats(0.51, 0.99),
+        st.floats(0.01, 0.5),
+        st.integers(1, 8),
+        st.integers(1, 20),
+        st.one_of(st.none(), st.floats(-2.0, 2.0)),
+    )
+    def test_matches_the_sub_grid_scheme(
+        self, theta, eta, eps, hurst, delta, count, cap, y0
+    ):
+        grid = SamplingGrid(delta=delta, count=count)
+        mean, cov = _sampler_node_law(
+            theta, eta, eps, hurst, grid, x0=0.7, y0=y0, refine=1, max_substeps=cap
+        )
+        m = simulate._substeps_per_cell(1.0 / eps, delta, 1, cap)
+        want_mean, want_cov = tfe_scheme_node_law(
+            theta, eta, eps, hurst, delta, count, m, 0.7, y0
+        )
+        assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+        assert np.max(np.abs(mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
+
+    def test_eta_draws_one_value_per_cell(self):
+        # the fast generator gives the start and two normals per cell; the
+        # driver one circulant stream of the cell sums, at half-size count
+        grid = SamplingGrid(delta=0.1, count=10)
+        seed = _ProbeSeed()
+        sample_tfe_system(1.0, 0.01, 1e-3, 0.7, grid, seed)
+        assert seed.rngs[STREAM_BROWNIAN].used == 1 + 2 * 10
+        assert seed.rngs[STREAM_DRIVER].used == 2 * 10
