@@ -130,29 +130,23 @@ def _grid_from_args(args) -> SamplingGrid:
 def _cmd_simulate(args) -> int:
     grid = _grid_from_args(args)
     seed = SeedSpec(_seed_value(args))
-    cap = args.max_substeps if args.max_substeps else None
     if args.model == "fbm":
         db = sample_fgn(args.hurst, grid, seed).values
         values = args.sigma * np.concatenate([[0.0], np.cumsum(db)])
         trajectory = Trajectory(grid, values)
     elif args.model == "fou":
-        trajectory = sample_stationary_fou(
-            args.lam, args.beta, args.hurst, grid, seed,
-            refine=args.refine, max_substeps=cap,
-        )
+        trajectory = sample_stationary_fou(args.lam, args.beta, args.hurst, grid, seed)
     elif args.model == "physical-fbm":
         params = MultiscaleParams(sigma=args.sigma, hurst=args.hurst, epsilon=args.epsilon)
-        if args.component == "slow":  # exact at the nodes; needs no sub-grid
+        if args.component == "slow":
             trajectory = sample_slow_component(params, grid, seed)
         else:
-            sample = sample_physical_fbm(
-                params, grid, seed, refine=args.refine, max_substeps=cap
-            )
+            sample = sample_physical_fbm(params, grid, seed)
             trajectory = {"fast": sample.fast, "driver": sample.driver}[args.component]
     elif args.model == "tfe":
         sample = sample_tfe_system(
             args.theta, args.eta, args.epsilon, args.hurst, grid, seed,
-            x0=args.x0, refine=args.refine, max_substeps=cap,
+            x0=args.x0, refine=args.refine, max_substeps=args.max_substeps or None,
         )
         trajectory = {"slow": sample.slow, "fast": sample.fast}[args.component]
     elif args.model == "approximate":
@@ -348,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lam", type=float, default=1.0, help="fou mean reversion")
     sp.add_argument("--beta", type=float, default=1.0, help="fou noise scale")
     sp.add_argument("--x0", type=float, default=1.0)
-    sp.add_argument("--refine", type=int, default=16)
-    sp.add_argument("--max-substeps", type=int, default=0, help="0 = uncapped")
+    sp.add_argument("--refine", type=int, default=16, help="tfe: least sub-steps per cell")
+    sp.add_argument("--max-substeps", type=int, default=0, help="tfe: sub-step cap, 0 = none")
     sp.add_argument("--component", choices=("slow", "fast", "driver"), default="slow")
 
     sp = command("mle", _cmd_mle, "profile maximum likelihood fit")

@@ -1,7 +1,7 @@
-"""Exact and refined samplers for fractional Gaussian noise, the stationary
-fractionally driven Ornstein-Uhlenbeck process, the slow/fast system whose
-slow component approximates fractional Brownian motion, and the two-timescale
-estimation test system.
+"""Exact samplers for fractional Gaussian noise, the stationary fractionally
+driven Ornstein-Uhlenbeck process, the slow/fast system whose slow component
+approximates fractional Brownian motion, and the two-timescale estimation
+test system.
 
 Every fractional stream comes from one engine: the exact 2m-circulant
 embedding of a stationary increment law at the 5-smooth half-size
@@ -9,11 +9,11 @@ m = ``scipy.fft.next_fast_len(n, real=True)`` >= n, truncated to the first n
 samples.  The law is unit fGn (i.i.d. normals at H = 1/2), the slow
 component's node increments for :func:`sample_slow_component`, whose
 autocovariance adds the second difference of the stationary fOU covariance
-to fGn's, or unit fGn summed over the sub-steps of a cell with geometric
-weights, the fractional part of :func:`sample_tfe_system`'s cell law.  The
-joint slow/fast/driver sample (:func:`sample_physical_fbm`) runs a recursion
-on a refined sub-grid driven by one fGn stream; the two-timescale system is
-drawn at its nodes from the exact cell law of its sub-grid scheme.
+to fGn's, unit fGn summed over the sub-steps of a cell with geometric
+weights, the fractional part of :func:`sample_tfe_system`'s cell law, or
+the bivariate law of a fast value and the next cell's slow increment, from
+which :func:`sample_physical_fbm` and :func:`sample_stationary_fou` read
+the slow, fast and driver paths.  No sampler runs a sub-grid.
 
 Sampling is deterministic in (parameters, grid, seed): the same inputs always
 reproduce the same values bit for bit.  Replicates draw from independent
@@ -30,6 +30,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import lfilter
+from scipy.special import gamma as gamma_fn
+from scipy.special import gammaincc
 
 from .fgn import unit_autocovariance, unit_fou_autocovariance
 from .grids import (
@@ -63,10 +65,17 @@ _SQRT_HALF = math.sqrt(0.5)
 # memory an unembeddable law takes before NumericFailure.  eps/delta = 1000
 # embeds by m = 4096 at H = 0.7 and by m = 32768 at H = 0.98.
 _MAX_GROWN_HALF_SIZE = 2**16
-# Most sub-steps per observation cell a refined sampler or the two-timescale
-# cell law is built with (eps = 1e-5 at delta = 0.1 and refine 16 needs
-# 160 000).
+# Most sub-steps per observation cell the two-timescale cell law is built
+# with (eps = 1e-5 at delta = 0.1 and refine 16 needs 160 000).
 _MAX_SUBSTEPS = 2**20
+# Most burn-in cells the approximate model prepends (the experiments' fits
+# need at most 3 800).
+_MAX_BURN_IN_CELLS = 2**20
+# Embedding eigenvalue floor, relative to each component's largest one.
+_EMBEDDING_FLOOR = -1e-8
+# The fOU integral's asymptotic expansion is summed from this argument on,
+# where its first 20 terms all shrink.
+_INTEGRAL_EXPANSION_MIN_X = 40.0
 # Lags per block when a cell-sum autocovariance is evaluated: bounds its
 # transient memory at about this many doubles per temporary.
 _LAG_BLOCK = 2**16
@@ -78,6 +87,26 @@ class _CellSum(NamedTuple):
 
     a: float
     substeps: int
+
+
+class _FastSlowPair(NamedTuple):
+    """Law key of (Y_k / sigma, (X_{k+1} - X_k) / (sigma delta^H)) at
+    ratio = eps/delta: a fast value and the next cell's slow increment."""
+
+    ratio: float
+
+
+# A unit law: eps/delta for the slow component's increments (0 is fGn), or a key.
+_Law = float | _CellSum | _FastSlowPair
+
+
+@functools.lru_cache(maxsize=8)
+def _fou_row(hurst: float, ratio: float, size: int) -> np.ndarray:
+    """r(k / ratio), k < size, r the unit fOU autocovariance; cached, as the
+    slow and pair laws read the same lags and each in (2, 40) costs quad."""
+    row = unit_fou_autocovariance(hurst, np.arange(size) / ratio)
+    row.flags.writeable = False
+    return row
 
 
 def _slow_unit_autocovariance(hurst: float, ratio: float, m: int) -> np.ndarray:
@@ -94,8 +123,12 @@ def _slow_unit_autocovariance(hurst: float, ratio: float, m: int) -> np.ndarray:
     lags = np.arange(m + 1)
     row = unit_autocovariance(hurst, lags)
     if ratio > 0.0:
-        r = unit_fou_autocovariance(hurst, np.arange(m + 2) / ratio)
-        row += ratio ** (2.0 * hurst) * (r[1:] - 2.0 * r[:-1] + r[np.abs(lags - 1)])
+        with np.errstate(over="ignore"):
+            scale = np.float64(ratio) ** (2.0 * hurst)
+        if not np.isfinite(scale):
+            raise ValueError(f"(eps/delta)^(2H) is not finite at eps/delta={ratio}")
+        r = _fou_row(hurst, ratio, m + 2)
+        row += scale * (r[1:] - 2.0 * r[:-1] + r[np.abs(lags - 1)])
     return row
 
 
@@ -120,36 +153,95 @@ def _cell_unit_autocovariance(hurst: float, law: _CellSum, m: int) -> np.ndarray
     return row
 
 
-@functools.lru_cache(maxsize=16)
-def _circulant_roots(hurst: float, law: float | _CellSum, m: int) -> np.ndarray:
-    """sqrt of the eigenvalues 0..m of the 2m-circulant embedding of the
-    unit-law autocovariance at half-size m; eigenvalues m+1..2m-1 mirror
-    1..m-1.  ``law`` is eps/delta for the slow component's increments (0 is
-    fGn) or a :class:`_CellSum`.
+def _unit_fou_integral(hurst: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """I(x) = int_0^x r at x >= 0, given r(x), r the unit fOU autocovariance:
+    [e^x Gamma(2H+1, x) - x^(2H)] / 2 - r(x), from Y_t = int_0^inf e^-u
+    (B_t - B_(t-u)) du.  From _INTEGRAL_EXPANSION_MIN_X on (e^x overflows
+    past 709) the even terms of its asymptotic series cancel r's, leaving
+    0.5 sum_j c_(2j+1) x^(2H-2j-1), c_k = prod_(i<k) (2H - i)."""
+    a = 2.0 * hurst
+    out = np.empty_like(x)
+    small = x < _INTEGRAL_EXPANSION_MIN_X
+    xs = x[small]
+    upper = gamma_fn(a + 1.0) * gammaincc(a + 1.0, xs)
+    out[small] = 0.5 * (np.exp(xs) * upper - xs**a) - r[small]
+    xl = x[~small]
+    total = np.zeros_like(xl)
+    coeff = a
+    for j in range(20):
+        total += coeff * xl ** (a - 2 * j - 1)
+        coeff *= (a - 2 * j - 1) * (a - 2 * j - 2)
+    out[~small] = 0.5 * total
+    return out
 
-    Cached per (hurst, law, m), so stream lengths that round up to the
-    same m share an entry; bounded so sweeps over many sizes cannot
-    accumulate unbounded memory.
+
+def _pair_unit_spectrum(hurst: float, ratio: float, m: int) -> np.ndarray:
+    """(m+1, 2, 2) spectrum of the 2m-circulant embedding of the
+    :class:`_FastSlowPair` law (Y_k, D_k), D_k the slow increment over cell
+    k+1: Cov(Y_j, Y_(j+l)) = r(|l| / ratio), Cov(D_j, D_(j+l)) = g(|l|)
+    (``_slow_unit_autocovariance``) and, since X_t - X_0 = eps^(H-1) int Y,
+    Cov(Y_j, D_(j+l)) = ratio^H [I((l+1) / ratio) - I(l / ratio)] with I
+    (``_unit_fou_integral``) odd: symmetric about lag -1/2, so its circulant
+    row wraps at lag m onto the mean of lags m and -m.  Entry [a, b] is
+    conj(DFT(c_ab)) / 2m: an inverse real FFT of G w, G G^H = spectrum and
+    w complex normal, has covariance c."""
+    r = _fou_row(hurst, ratio, m + 2)
+    fast, slow = r[: m + 1], _slow_unit_autocovariance(hurst, ratio, m)
+    cross = ratio**hurst * np.diff(_unit_fou_integral(hurst, np.arange(m + 2) / ratio, r))
+    cross_row = np.concatenate(
+        [cross[:m], [0.5 * (cross[m] + cross[m - 1])], cross[: m - 1][::-1]]
+    )
+    spectrum = np.empty((m + 1, 2, 2), dtype=complex)
+    spectrum[:, 0, 0] = np.fft.rfft(np.concatenate([fast, fast[-2:0:-1]])).real
+    spectrum[:, 1, 1] = np.fft.rfft(np.concatenate([slow, slow[-2:0:-1]])).real
+    spectrum[:, 1, 0] = np.fft.rfft(cross_row)
+    spectrum[:, 0, 1] = spectrum[:, 1, 0].conj()
+    return spectrum / (2 * m)
+
+
+@functools.lru_cache(maxsize=16)
+def _circulant_roots(hurst: float, law: _Law, m: int) -> np.ndarray:
+    """sqrt of the eigenvalues 0..m of the 2m-circulant embedding of the
+    unit-law autocovariance at half-size m (m+1..2m-1 mirror 1..m-1); for
+    a :class:`_FastSlowPair` a (m+1, 2, 2) factor G with G G^H the spectrum.
+    NumericFailure below _EMBEDDING_FLOOR times a component's largest
+    eigenvalue, or at NaN.  Cached per (hurst, law, m), so stream lengths
+    that round up to the same m share an entry; bounded so sweeps over many
+    sizes cannot accumulate unbounded memory.
     """
-    if isinstance(law, _CellSum):
-        row, name = _cell_unit_autocovariance(hurst, law, m), law
+    if isinstance(law, _FastSlowPair):
+        spectrum = _pair_unit_spectrum(hurst, law.ratio, m)
+        # one unit per component: the floor is against each one's own scale
+        scale = np.sqrt(spectrum[:, [0, 1], [0, 1]].real.max(axis=0))
+        spectrum /= scale[:, None] * scale
+        if np.isfinite(spectrum).all():
+            lam, vectors = np.linalg.eigh(spectrum)
+        else:
+            lam = np.full(1, np.nan)
+        name, floor = f"fast/slow pair eps/delta={law.ratio}", _EMBEDDING_FLOOR
     else:
-        row, name = _slow_unit_autocovariance(hurst, law, m), f"eps/delta={law}"
-    circ = np.concatenate([row, row[-2:0:-1]])  # length 2m
-    lam = np.fft.rfft(circ).real / (2 * m)
-    floor = -1e-8 * lam.max()
+        if isinstance(law, _CellSum):
+            row, name = _cell_unit_autocovariance(hurst, law, m), law
+        else:
+            row, name = _slow_unit_autocovariance(hurst, law, m), f"eps/delta={law}"
+        circ = np.concatenate([row, row[-2:0:-1]])  # length 2m
+        lam = np.fft.rfft(circ).real / (2 * m)
+        floor = _EMBEDDING_FLOOR * lam.max()
     if not lam.min() >= floor:  # also true for NaN
         raise NumericFailure(
             f"circulant embedding (H={hurst}, {name}, m={m}) has "
             f"eigenvalue {lam.min():.3e}; cannot sample exactly"
         )
     roots = np.sqrt(np.clip(lam, 0.0, None))
+    if isinstance(law, _FastSlowPair):
+        # G = D^(1/2) V sqrt(L) V^H for the normalised spectrum V L V^H
+        roots = scale[:, None] * (vectors * roots[:, None, :]) @ vectors.conj().swapaxes(1, 2)
     roots.flags.writeable = False
     return roots
 
 
 @functools.lru_cache(maxsize=64)
-def _embedding_half_size(hurst: float, law: float | _CellSum, n: int) -> int:
+def _embedding_half_size(hurst: float, law: _Law, n: int) -> int:
     """The half-size m >= n a length-n stream embeds at: the 5-smooth
     next_fast_len(n, real=True), doubled while the embedding is not
     non-negative definite (Wood & Chan, JCGS 3, 1994), which happens for
@@ -171,21 +263,22 @@ def _unit_stream(
     rng: np.random.Generator,
     hurst: float,
     n: int,
-    law: float | _CellSum = 0.0,
+    law: _Law = 0.0,
     batch: int | None = None,
 ) -> np.ndarray:
     """One exact stream of length n with a unit law (see ``_circulant_roots``):
     unit-step fGn at law 0, the slow component's increments at law
-    eps/delta > 0, cell sums at a :class:`_CellSum`.  With ``batch``, a
-    (batch, n) array of independent streams equal, bit for bit, to ``batch``
-    successive calls.
+    eps/delta > 0, cell sums at a :class:`_CellSum`, (2, n) fast values and
+    slow increments at a :class:`_FastSlowPair`.  With ``batch``, a leading
+    batch axis of streams equal, bit for bit, to ``batch`` successive calls.
 
     Unit fGn at H = 1/2 reduces to i.i.d. standard normals.  Every other law
     uses the 2m-circulant embedding (Davies-Harte; Wood & Chan, JCGS 3,
-    1994) at the half-size m >= n of ``_embedding_half_size``, drawn as a
-    Hermitian half-spectrum through an inverse real FFT.  It is exact
-    because its eigenvalues are checked non-negative, and the first n
-    samples of a length-m stationary stream are a length-n one.
+    1994; bivariate: Chan & Wood, Stat. Comput. 9, 1999) at the half-size
+    m >= n of ``_embedding_half_size``, drawn as a Hermitian half-spectrum
+    through an inverse real FFT.  It is exact where its eigenvalues are
+    non-negative (those above _EMBEDDING_FLOOR are clipped at 0), and the
+    first n samples of a length-m stationary stream are a length-n one.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
@@ -194,6 +287,8 @@ def _unit_stream(
         return rng.standard_normal(lead + (n,))
     m = _embedding_half_size(hurst, law, n)
     roots = _circulant_roots(hurst, law, m)
+    if roots.ndim == 3:  # one row of normals per component of the pair
+        lead += (2,)
     # Complex normals on bins 0..m: bins 0 and m are real.  Draw order (real
     # parts 0..m, then imaginary parts 1..m-1) is part of the contract.
     # irfft's kernel is the conjugate of the forward FFT's, so the imaginary
@@ -202,9 +297,13 @@ def _unit_stream(
     z[..., 1:m] *= _SQRT_HALF
     z[..., m + 1 :] *= -_SQRT_HALF
     half = np.empty(lead + (m + 1,), dtype=complex)
-    np.multiply(z[..., : m + 1], roots, out=half.real)
-    np.multiply(z[..., m + 1 :], roots[1:m], out=half.imag[..., 1:m])
     half.imag[..., 0] = half.imag[..., m] = 0.0
+    if roots.ndim == 3:
+        half.real, half.imag[..., 1:m] = z[..., : m + 1], z[..., m + 1 :]
+        half = np.einsum("fab,...bf->...af", roots, half)
+    else:
+        np.multiply(z[..., : m + 1], roots, out=half.real)
+        np.multiply(z[..., m + 1 :], roots[1:m], out=half.imag[..., 1:m])
     return np.fft.irfft(half, 2 * m, norm="forward")[..., :n]
 
 
@@ -247,102 +346,6 @@ def _substeps_per_cell(
     return m
 
 
-def _fou_joint_refined(
-    lam: float,
-    beta: float,
-    hurst: float,
-    grid: SamplingGrid,
-    rng: np.random.Generator,
-    refine: int,
-    max_substeps: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y at nodes, driver B^H at nodes) via the refined recursion.
-
-    The stationary process is realised by running the exact one-step solution
-
-        Y_{t+h} = e^{-lam h} Y_t + beta * integral_t^{t+h} e^{-lam(t+h-s)} dB^H_s
-
-    on a sub-grid of h = delta/m, approximating the kernel by its left-point
-    value e^{-lam h} on each sub-step, from a zero start across a burn-in
-    prefix long enough that e^{-lam L} < 1e-8.  B^H is the running sum of the
-    same increment stream, zeroed at the first observation node.
-    """
-    m = _substeps_per_cell(lam, grid.delta, refine, max_substeps)
-    h = grid.delta / m
-    burn_cells = max(1, math.ceil(_BURN_IN_DECADES / (lam * grid.delta)))
-    n_fine = (grid.count + burn_cells) * m
-
-    db = h**hurst * _unit_stream(rng, hurst, n_fine)
-    a = math.exp(-lam * h)
-    y = lfilter([1.0], [1.0, -a], (a * beta) * db)
-
-    node_idx = (burn_cells + np.arange(grid.count + 1)) * m - 1
-    y_nodes = y[node_idx]
-
-    b_fine = np.cumsum(db)
-    b_nodes = b_fine[node_idx]
-    b_nodes = b_nodes - b_nodes[0]
-    return y_nodes, b_nodes
-
-
-def _fou_joint_exact_brownian(
-    lam: float,
-    beta: float,
-    grid: SamplingGrid,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Y at nodes, driver B at nodes) for H = 1/2, exact at any step.
-
-    With a Brownian driver the pair (increment, kernel-weighted integral) is
-    bivariate normal per cell with
-
-        Var(dB) = delta,  Var(I) = (1 - a^2)/(2 lam),  Cov = (1 - a)/lam,
-
-    a = e^{-lam delta}, independent across cells and of the stationary start
-    Y_0 ~ N(0, beta^2/(2 lam)), so the joint law at the nodes is sampled with
-    no refinement and no burn-in truncation.
-    """
-    delta = grid.delta
-    n = grid.count
-    a = math.exp(-lam * delta)
-    var_i = -math.expm1(-2.0 * lam * delta) / (2.0 * lam)
-    cov_ib = -math.expm1(-lam * delta) / lam
-    resid_sd = math.sqrt(max(var_i - cov_ib * cov_ib / delta, 0.0))
-
-    y0 = math.sqrt(beta * beta / (2.0 * lam)) * rng.standard_normal()
-    db = math.sqrt(delta) * rng.standard_normal(n)
-    xi = rng.standard_normal(n)
-    kernel_int = (cov_ib / delta) * db + resid_sd * xi
-
-    y_rest, _ = lfilter(
-        [1.0], [1.0, -a], beta * kernel_int, zi=np.array([a * y0])
-    )
-    y_nodes = np.concatenate([[y0], y_rest])
-    b_nodes = np.concatenate([[0.0], np.cumsum(db)])
-    return y_nodes, b_nodes
-
-
-def _fou_joint(
-    lam: float,
-    beta: float,
-    hurst: float,
-    grid: SamplingGrid,
-    rng: np.random.Generator,
-    refine: int,
-    max_substeps: int | None,
-    method: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    if method not in ("auto", "exact", "refined"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" and hurst != 0.5:
-        raise ValueError("the exact sampler is only available at hurst = 0.5")
-    if method == "auto":
-        method = "exact" if hurst == 0.5 else "refined"
-    if method == "exact":
-        return _fou_joint_exact_brownian(lam, beta, grid, rng)
-    return _fou_joint_refined(lam, beta, hurst, grid, rng, refine, max_substeps)
-
-
 def sample_stationary_fou(
     lam: float,
     beta: float,
@@ -350,27 +353,21 @@ def sample_stationary_fou(
     grid: SamplingGrid,
     seed: SeedSpec,
     *,
-    refine: int = 16,
-    max_substeps: int | None = None,
-    method: str = "auto",
     stream: int = STREAM_DRIVER,
 ) -> Trajectory:
-    """Stationary fractionally driven Ornstein-Uhlenbeck path at the nodes.
-
-    Mean reversion ``lam`` > 0, noise scale ``beta`` > 0.  Stationary variance
-    beta^2 * lam^(-2H) * H * Gamma(2H).  ``method="auto"`` picks the exact
-    Brownian-case sampler at H = 1/2 and the refined recursion otherwise;
-    ``method="refined"`` forces the generic path (useful for cross-checks).
-    """
+    """Stationary fractionally driven Ornstein-Uhlenbeck path at the nodes,
+    exact: mean reversion ``lam`` > 0, noise scale ``beta`` > 0, covariance
+    beta^2 lam^(-2H) r(lam s) (``unit_fou_autocovariance``), variance
+    beta^2 lam^(-2H) H Gamma(2H).  It is the fast component of
+    :func:`sample_physical_fbm` at eps = 1/lam, sigma = beta lam^(-H)."""
     if lam <= 0 or not np.isfinite(lam):
         raise ValueError(f"lam must be positive, got {lam}")
     if beta <= 0 or not np.isfinite(beta):
         raise ValueError(f"beta must be positive, got {beta}")
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    rng = seed.rng(stream)
-    y_nodes, _ = _fou_joint(lam, beta, hurst, grid, rng, refine, max_substeps, method)
-    return Trajectory(grid, y_nodes)
+    y, _ = _fast_slow_nodes(beta / lam**hurst, hurst, 1.0 / lam, grid, seed.rng(stream))
+    return Trajectory(grid, y)
 
 
 def sample_approximate_model(
@@ -390,8 +387,9 @@ def sample_approximate_model(
     With ``initial=None`` and theta > 0 the chain starts from numerical
     stationarity: a burn-in window long enough for the zero start to decay
     below 1e-8 is prepended and driven by the *same* fractional stream, so
-    the noise memory across the observed window is the stationary one.  At
-    theta = 0 the chain is sigma * B^H from ``initial`` (default 0).
+    the noise memory across the observed window is the stationary one
+    (ValueError above _MAX_BURN_IN_CELLS).  At theta = 0 the chain is
+    sigma * B^H from ``initial`` (default 0).
     """
     theta, sigma, hurst = params.theta, params.sigma, params.hurst
     delta = grid.delta
@@ -402,7 +400,10 @@ def sample_approximate_model(
         burn = 0
         x0 = 0.0 if initial is None else float(initial)
     else:
-        burn = math.ceil(_BURN_IN_DECADES / u)
+        burn = _BURN_IN_DECADES / u
+        if not burn <= _MAX_BURN_IN_CELLS:
+            raise ValueError(f"{burn:.3g} burn-in cells exceed the cap of {_MAX_BURN_IN_CELLS}")
+        burn = math.ceil(burn)
         x0 = 0.0
     extended = SamplingGrid(delta=delta, count=burn + grid.count)
     db = sample_fgn(hurst, extended, seed, stream=stream).values
@@ -432,36 +433,39 @@ class PhysicalFbmSample:
     driver: Trajectory
 
 
+def _fast_slow_nodes(sigma: float, hurst: float, eps: float, grid: SamplingGrid, rng):
+    """(Y_0..Y_n, X_1 - X_0..X_n - X_(n-1)) from one :class:`_FastSlowPair`
+    stream of n + 1 pairs.  For the fOU process sigma = beta lam^-H and
+    eps = 1/lam, which may overflow."""
+    ratio = eps / grid.delta
+    if not (0.0 < ratio < math.inf and math.isfinite(sigma)):
+        raise ValueError(f"eps/delta={ratio} and sigma={sigma} must be finite and > 0")
+    z = _unit_stream(rng, hurst, grid.count + 1, _FastSlowPair(ratio))
+    return sigma * z[0], (sigma * grid.delta**hurst) * z[1, :-1]
+
+
 def sample_physical_fbm(
     params: MultiscaleParams,
     grid: SamplingGrid,
     seed: SeedSpec,
     *,
-    refine: int = 16,
-    max_substeps: int | None = None,
-    method: str = "auto",
     stream: int = STREAM_DRIVER,
 ) -> PhysicalFbmSample:
     """Sample the slow/fast pair whose slow component deviates from
-    sigma * B^H by eps^H times a stationary increment.
-
-    The joint law of (X, Y, B^H) comes from the refined recursion (exact at
-    H = 1/2); when only X is read, :func:`sample_slow_component` draws it
-    exactly at the nodes with no sub-grid."""
+    sigma * B^H by eps^H times a stationary increment, exactly at the nodes:
+    Y and the slow increments are one bivariate stream
+    (``_pair_unit_spectrum``), X is their cumulative sum and the driver
+    X + eps^H (Y - Y_0).  X has the law, not the draws, of
+    :func:`sample_slow_component`."""
     eps, sigma, hurst = params.epsilon, params.sigma, params.hurst
-    lam = 1.0 / eps
-    beta = sigma / eps**hurst
-    rng = seed.rng(stream)
-    y_nodes, b_nodes = _fou_joint(
-        lam, beta, hurst, grid, rng, refine, max_substeps, method
-    )
-    driver = sigma * b_nodes
-    x_nodes = driver - eps**hurst * (y_nodes - y_nodes[0])
+    y, dx = _fast_slow_nodes(sigma, hurst, eps, grid, seed.rng(stream))
+    x = np.concatenate(([0.0], np.cumsum(dx)))
+    driver = x + eps**hurst * (y - y[0])
     return PhysicalFbmSample(
         params=params,
         grid=grid,
-        slow=Trajectory(grid, x_nodes),
-        fast=Trajectory(grid, y_nodes),
+        slow=Trajectory(grid, x),
+        fast=Trajectory(grid, y),
         driver=Trajectory(grid, driver),
     )
 
@@ -479,9 +483,9 @@ def sample_slow_component(
     X_t = eps^(H-1) int_0^t Y ds has stationary increments whose node
     autocovariance is sigma^2 delta^(2H) g(k) at ratio = eps/delta (see
     ``_slow_unit_autocovariance``), sampled by the same circulant embedding
-    as fGn.  It has the law of ``sample_physical_fbm(...).slow`` without
-    that sampler's discretisation, but not its draws: use
-    ``sample_physical_fbm`` when the fast component or the driver is read.
+    as fGn.  It has the law of ``sample_physical_fbm(...).slow`` but one
+    univariate stream, so not its draws: use ``sample_physical_fbm`` when
+    the fast component or the driver is read with X.
     """
     eps, sigma, hurst = params.epsilon, params.sigma, params.hurst
     rng = seed.rng(stream)

@@ -108,6 +108,21 @@ def fou_autocovariance_hyp1f2(hurst: float, u: float) -> float:
         return float(value)
 
 
+def fou_integral_hyp1f2(hurst: float, x: float) -> float:
+    """integral_0^x r(u) du of the unit stationary fOU autocovariance, the
+    series of ``fou_autocovariance_hyp1f2`` integrated term by term:
+
+        Gamma(2H+1)/2 [sinh x - x^(2H+1)/Gamma(2H+2) 1F2(1; H+1, H+3/2; x^2/4)],
+
+    in mpmath at 30 digits beyond the e^x the two terms cancel down from."""
+    import mpmath
+
+    with mpmath.workdps(30 + int(x / math.log(10.0))):
+        h, y = mpmath.mpf(hurst), mpmath.mpf(x)
+        series = y ** (2 * h + 1) / mpmath.gamma(2 * h + 2) * mpmath.hyp1f2(1, h + 1, h + 1.5, y * y / 4)
+        return float(mpmath.gamma(2 * h + 1) / 2 * (mpmath.sinh(y) - series))
+
+
 def exhaustive_p_variation(values: np.ndarray, p: float) -> float:
     """p-variation by enumerating every node partition (2^(N-1) subsets)."""
     z = np.asarray(values, dtype=float)
@@ -223,3 +238,78 @@ def tfe_scheme_node_law(
     else:
         mean = maps[:, 0] + y0 * maps[:, 1]
     return mean, maps @ inputs @ maps.T
+
+
+def physical_fbm_node_law(
+    sigma: float, hurst: float, epsilon: float, delta: float, count: int
+) -> np.ndarray:
+    """Covariance of (Y_0..Y_count, sigma B_1..sigma B_count) for the slow/fast
+    system's stationary fast component Y (mean reversion lam = 1/eps, noise
+    scale beta = sigma eps^-H) and its fBm driver, built entry by entry.
+
+    The Y block is sigma^2 r(|j - k| delta / eps), r from
+    ``unit_fou_autocovariance``; the driver block is the fBm covariance.  The
+    cross block sums c(l) = Cov(sigma (B_i - B_(i-1)), Y_(i+l)) over cells,
+    each by quadrature of the integration-by-parts form
+    Y_t = beta lam int_0^inf e^(-lam u) (B_t - B_(t-u)) du.  At H = 1/2 the
+    whole law is the closed Brownian pair instead: per cell, the increment
+    and I = int e^(-lam (t - s)) dB_s are bivariate normal with
+    Var(I) = (1 - a^2)/(2 lam), Cov = (1 - a)/lam, a = e^(-lam delta),
+    independent across cells and of Y_0 ~ N(0, beta^2 / (2 lam))."""
+    from scipy.integrate import quad
+
+    from fraclab import unit_fou_autocovariance
+
+    n = count
+    lam, beta = 1.0 / epsilon, sigma / epsilon**hurst
+    if hurst == 0.5:
+        a = math.exp(-lam * delta)
+        # inputs (Y_0, dB_1..dB_n, I_1..I_n) and their covariance
+        inputs = np.zeros((1 + 2 * n, 1 + 2 * n))
+        inputs[0, 0] = beta * beta / (2.0 * lam)
+        cells = np.arange(n)
+        inputs[1 + cells, 1 + cells] = delta
+        inputs[1 + n + cells, 1 + n + cells] = (1.0 - a * a) / (2.0 * lam)
+        inputs[1 + cells, 1 + n + cells] = inputs[1 + n + cells, 1 + cells] = (1.0 - a) / lam
+        maps = np.zeros((2 * n + 1, 1 + 2 * n))
+        for k in range(n + 1):
+            maps[k, 0] = a**k
+            for j in range(k):
+                maps[k, 1 + n + j] = beta * a ** (k - 1 - j)
+        for k in range(1, n + 1):
+            maps[n + k, 1 : 1 + k] = sigma
+        return maps @ inputs @ maps.T
+
+    h2 = 2.0 * hurst
+    cov = np.empty((2 * n + 1, 2 * n + 1))
+    lags = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+    cov[: n + 1, : n + 1] = sigma**2 * unit_fou_autocovariance(hurst, lags * delta / epsilon)
+    t = delta * np.arange(1, n + 1)
+    cov[n + 1 :, n + 1 :] = 0.5 * sigma**2 * (
+        t[:, None] ** h2 + t[None, :] ** h2 - np.abs(np.subtract.outer(t, t)) ** h2
+    )
+
+    def c(ell: int) -> float:
+        # Cov(B_a - B_b, B_t - B_(t-u)) with a - t = -ell delta, b - t = -(ell+1) delta
+        def kernel(u: float) -> float:
+            return 0.5 * (
+                abs(u - ell * delta) ** h2 + abs((ell + 1) * delta) ** h2
+                - abs(ell * delta) ** h2 - abs(u - (ell + 1) * delta) ** h2
+            )
+
+        # quadrature between the kinks, each piece cut where e^(-lam u) has
+        # fallen by e^-60 from its start
+        kinks = sorted(k for k in (ell * delta, (ell + 1) * delta) if k > 0.0)
+        total = 0.0
+        for lo, hi in zip([0.0, *kinks], [*kinks, np.inf]):
+            total += quad(
+                lambda u: math.exp(-lam * u) * kernel(u), lo, min(hi, lo + 60.0 * epsilon),
+                epsabs=0.0, epsrel=1e-13, limit=400, full_output=1,
+            )[0]
+        return sigma * beta * lam * total
+
+    cross = {ell: c(ell) for ell in range(-n, n + 1)}
+    for j in range(n + 1):
+        for k in range(1, n + 1):
+            cov[j, n + k] = cov[n + k, j] = sum(cross[j - i] for i in range(1, k + 1))
+    return cov

@@ -80,7 +80,7 @@ class TestSimulate:
         "extra",
         [
             ("--model", "fou", "--lam", "2.0", "--beta", "1.5", "--hurst", "0.5"),
-            ("--model", "fou", "--refine", "8"),
+            ("--model", "fou", "--lam", "0.5", "--hurst", "0.95"),
             ("--model", "physical-fbm", "--component", "slow", "--hurst", "0.3"),
             ("--model", "physical-fbm", "--component", "driver"),
             ("--model", "physical-fbm", "--component", "fast", "--epsilon", "0.05"),
@@ -114,6 +114,35 @@ class TestSimulate:
         )
         assert rc == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "extra, code, message",
+        [
+            (("--model", "fou", "--lam", "1e-6"), 3, "fast/slow pair eps/delta=1"),
+            (("--model", "fou", "--lam", "5e-324"), 2, "finite"),
+            (("--model", "physical-fbm", "--component", "fast", "--epsilon", "1e4"),
+             3, "fast/slow pair eps/delta=1"),
+            (("--model", "physical-fbm", "--component", "driver", "--epsilon", "1e-7"), 0, ""),
+            (("--model", "physical-fbm", "--component", "slow", "--epsilon", "1e300"),
+             2, "not finite"),
+            (("--model", "approximate", "--theta", "1e-9"), 2, "burn-in cells"),
+            (("--model", "approximate", "--theta", "1e-300"), 2, "burn-in cells"),
+        ],
+        ids=["fou-lam-1e-6", "fou-lam-5e-324", "fast-eps-1e4", "driver-eps-1e-7",
+             "slow-eps-1e300", "approximate-theta-1e-9", "approximate-theta-1e-300"],
+    )
+    def test_hostile_scales_exit_with_a_cause(self, capsys, extra, code, message):
+        # a scale the law cannot be built at is refused before anything
+        # large is allocated (exit 2); one the embedding cannot make
+        # non-negative definite fails at the doubling cap naming the law
+        # (exit 3); a tiny eps/delta samples
+        rc, out, err = run_cli(capsys, "simulate", *extra, "--delta", "0.01")
+        assert rc == code, err
+        assert message in err
+        if code:
+            assert out == ""
+        else:
+            assert np.all(np.isfinite(parse_traj_stdout(out)[1]))
 
 
 class TestFitPipeline:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
@@ -35,7 +35,13 @@ from fraclab import (
 )
 from fraclab import fgn, simulate
 from fraclab.grids import STREAM_BROWNIAN, STREAM_DRIVER
-from oracles import fou_autocovariance_hyp1f2, naive_circulant_fgn, tfe_scheme_node_law
+from oracles import (
+    fou_autocovariance_hyp1f2,
+    fou_integral_hyp1f2,
+    naive_circulant_fgn,
+    physical_fbm_node_law,
+    tfe_scheme_node_law,
+)
 
 
 def pooled_autocovariance(rows: np.ndarray, lag: int) -> float:
@@ -267,12 +273,27 @@ class TestApproximateModel:
             v = float(np.mean(rows[:, col] ** 2))
             assert abs(v / var_stat - 1.0) < 0.10
 
+    def test_burn_in_is_capped(self):
+        # 19 / (theta delta) burn-in cells: refused above the cap before
+        # anything is allocated, also when the count overflows; an explicit
+        # start needs no burn-in
+        grid = SamplingGrid(delta=0.01, count=10)
+        cap = simulate._MAX_BURN_IN_CELLS
+        for theta in (1e-9, 1e-300):
+            params = FouParams(theta=theta, sigma=1.0, hurst=0.7)
+            with pytest.raises(ValueError, match=rf"cap of {cap}"):
+                sample_approximate_model(params, grid, SeedSpec(0))
+            path = sample_approximate_model(params, grid, SeedSpec(0), initial=0.5)
+            assert np.all(np.isfinite(path.values))
+        theta = 19.0 / (cap * grid.delta)
+        path = sample_approximate_model(FouParams(theta, 1.0, 0.5), grid, SeedSpec(0))
+        assert path.values.shape == (11,)
+
 
 class TestStationaryFou:
     def test_brownian_case_moments(self):
-        # H = 1/2 uses the exact per-cell bivariate-normal sampler: the node
-        # values are a stationary AR(1) with Var = beta^2/(2 lam) and lag-1
-        # autocovariance Var * e^{-lam delta}
+        # at H = 1/2 the node values are a stationary AR(1) with
+        # Var = beta^2/(2 lam) and lag-1 autocovariance Var * e^{-lam delta}
         lam, beta, delta, count = 1.2, 0.9, 0.25, 40
         grid = SamplingGrid(delta=delta, count=count)
         rows = np.stack(
@@ -289,17 +310,14 @@ class TestStationaryFou:
     def test_brownian_variance_formula(self):
         assert stationary_fou_variance(0.5, 2.0, 3.0) == pytest.approx(9.0 / 4.0)
 
-    def test_refined_variance_matches_formula(self):
-        # H = 0.7 refined recursion against the closed-form stationary
-        # variance beta^2 lam^(-2H) H Gamma(2H); refine is high enough that the
-        # kernel bias sits well inside the statistical tolerance
+    def test_variance_matches_formula(self):
+        # H = 0.7 draws against the closed-form stationary variance
+        # beta^2 lam^(-2H) H Gamma(2H)
         lam, beta, hurst, delta, count = 2.0, 1.1, 0.7, 0.25, 40
         grid = SamplingGrid(delta=delta, count=count)
         rows = np.stack(
             [
-                sample_stationary_fou(
-                    lam, beta, hurst, grid, SeedSpec(29, r), refine=64
-                ).values
+                sample_stationary_fou(lam, beta, hurst, grid, SeedSpec(29, r)).values
                 for r in range(800)
             ]
         )
@@ -309,22 +327,14 @@ class TestStationaryFou:
         )
         assert abs(pooled_autocovariance(rows, 0) / target - 1.0) < 0.10
 
-    def test_refined_agrees_with_exact_at_half(self):
-        # the generic refined path must reproduce the Brownian law the
-        # exact sampler realises; compare pooled variances
-        lam, beta, delta, count = 1.0, 1.0, 0.5, 20
-        grid = SamplingGrid(delta=delta, count=count)
-        var = beta**2 / (2 * lam)
-        for method in ("exact", "refined"):
-            rows = np.stack(
-                [
-                    sample_stationary_fou(
-                        lam, beta, 0.5, grid, SeedSpec(37, r), method=method
-                    ).values
-                    for r in range(600)
-                ]
-            )
-            assert abs(pooled_autocovariance(rows, 0) / var - 1.0) < 0.10
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.95])
+    def test_is_the_fast_component_of_the_pair(self, hurst):
+        # eps = 1/lam and sigma = beta lam^-H, on the same draws
+        lam, beta, grid, seed = 2.0, 1.1, SamplingGrid(delta=0.25, count=30), SeedSpec(5)
+        path = sample_stationary_fou(lam, beta, hurst, grid, seed)
+        params = MultiscaleParams(sigma=beta / lam**hurst, hurst=hurst, epsilon=1.0 / lam)
+        pair = sample_physical_fbm(params, grid, seed)
+        np.testing.assert_array_equal(path.values, pair.fast.values)
 
     def test_parameter_validation(self):
         grid = SamplingGrid(delta=0.5, count=8)
@@ -335,14 +345,11 @@ class TestStationaryFou:
             sample_stationary_fou(1.0, -1.0, 0.7, grid, seed)
         with pytest.raises(ValueError, match="hurst"):
             sample_stationary_fou(1.0, 1.0, 1.0, grid, seed)
-        with pytest.raises(ValueError, match="refine"):
-            sample_stationary_fou(1.0, 1.0, 0.7, grid, seed, refine=0)
-        with pytest.raises(ValueError, match="max_substeps"):
-            sample_stationary_fou(1.0, 1.0, 0.7, grid, seed, max_substeps=0)
-        with pytest.raises(ValueError, match="method"):
-            sample_stationary_fou(1.0, 1.0, 0.7, grid, seed, method="euler")
-        with pytest.raises(ValueError, match="exact"):
-            sample_stationary_fou(1.0, 1.0, 0.7, grid, seed, method="exact")
+        # 1/(lam delta) overflows; beta lam^-H overflows
+        with pytest.raises(ValueError, match="finite"):
+            sample_stationary_fou(5e-324, 1.0, 0.7, grid, seed)
+        with pytest.raises(ValueError, match="sigma=inf"):
+            sample_stationary_fou(1e-300, 1e300, 0.9, grid, seed)
 
 
 class TestPhysicalFbm:
@@ -382,14 +389,19 @@ class TestPhysicalFbm:
             assert sup[eps] < 10.0 * eps**0.7
         assert sup[1e-4] < sup[1e-2]
 
-    def test_max_substeps_cap(self):
-        # the cap keeps the sub-grid bounded for tiny eps; shape contract only
+    def test_tiny_epsilon_needs_no_sub_grid(self):
+        # eps/delta = 1e-5: the law embeds at the count's own half-size, with
+        # its fOU integral in the asymptotic branch (e^x overflows past
+        # x = 709), and its node law is the oracle's
         params = MultiscaleParams(sigma=1.0, hurst=0.7, epsilon=1e-6)
         grid = SamplingGrid(delta=0.1, count=5)
-        s = sample_physical_fbm(params, grid, SeedSpec(2), max_substeps=8)
-        assert s.slow.values.shape == (6,)
-        assert s.fast.values.shape == (6,)
-        assert s.driver.values.shape == (6,)
+        s = sample_physical_fbm(params, grid, SeedSpec(2))
+        assert s.slow.values.shape == s.fast.values.shape == s.driver.values.shape == (6,)
+        law = simulate._FastSlowPair(params.epsilon / grid.delta)
+        assert simulate._embedding_half_size(0.7, law, 6) == 6
+        _, cov = _physical_fbm_node_law(params, grid)
+        want = physical_fbm_node_law(1.0, 0.7, 1e-6, 0.1, 5)
+        assert np.max(np.abs(cov - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestFouAutocovariance:
@@ -428,6 +440,26 @@ class TestFouAutocovariance:
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             unit_fou_autocovariance(0.7, [1.0, -1.0])
+
+
+class TestFouIntegral:
+    # I(x) = int_0^x r: the incomplete-gamma form below x = 40, the
+    # asymptotic expansion from 40 on (e^x overflows from x = 710 on)
+    LAGS = np.concatenate([np.geomspace(1e-3, 39.0, 12), [40.0, 60.0, 300.0, 709.0, 710.0, 1000.0]])
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.95])
+    def test_matches_hyp1f2(self, hurst):
+        pytest.importorskip("mpmath")
+        got = simulate._unit_fou_integral(
+            hurst, self.LAGS, unit_fou_autocovariance(hurst, self.LAGS)
+        )
+        expected = [fou_integral_hyp1f2(hurst, x) for x in self.LAGS]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_half_is_closed_form(self):
+        x = np.concatenate([np.linspace(0.0, 39.5, 80), [40.0, 800.0]])
+        got = simulate._unit_fou_integral(0.5, x, 0.5 * np.exp(-x))
+        np.testing.assert_allclose(got, -0.5 * np.expm1(-x), rtol=1e-13, atol=1e-16)
 
 
 @pytest.fixture
@@ -501,28 +533,19 @@ class TestSlowComponent:
         stderr = np.sqrt((np.outer(var, var) + cov**2) / reps)
         assert np.all(np.abs(sample_cov - cov) < 5.0 * stderr)
 
-    def test_matches_refined_sampler(self):
-        # the refined recursion at a high refine samples the same law up to
-        # its kernel bias: pooled lag-0..2 increment moments of its slow
-        # component over 1500 paths agree with g within about 4 standard
-        # errors (0.001), while fGn's lag-0 value lies 15 away
-        hurst, eps, delta = 0.7, 0.05, 0.25
+    def test_matches_physical_sampler(self):
+        # the slow component of the pair sampler has this law exactly: its
+        # node increments' covariance, read from its unit-normal responses,
+        # is sigma^2 delta^(2H) g, which lies away from fGn's
+        hurst, eps, delta, count = 0.7, 0.05, 0.25, 32
         params = MultiscaleParams(sigma=1.0, hurst=hurst, epsilon=eps)
-        grid = SamplingGrid(delta=delta, count=32)
-        rows = np.stack(
-            [
-                np.diff(
-                    sample_physical_fbm(params, grid, SeedSpec(61, r), refine=64).slow.values
-                )
-                for r in range(1500)
-            ]
+        grid = SamplingGrid(delta=delta, count=count)
+        _, cov = _sampler_node_law(
+            lambda seed: np.diff(sample_physical_fbm(params, grid, seed).slow.values)
         )
-        g = delta ** (2 * hurst) * simulate._slow_unit_autocovariance(hurst, eps / delta, 2)
-        fgn_lag0 = fgn_autocovariance(hurst, delta, 0)[0]
-        tol = 0.004
-        assert abs(fgn_lag0 - g[0]) > 3.0 * tol
-        for lag in range(3):
-            assert abs(pooled_autocovariance(rows, lag) - g[lag]) < tol
+        g = delta ** (2 * hurst) * simulate._slow_unit_autocovariance(hurst, eps / delta, count - 1)
+        assert np.max(np.abs(cov - toeplitz(g))) <= 1e-12 * g[0]
+        assert abs(fgn_autocovariance(hurst, delta, 0)[0] - g[0]) > 0.1 * g[0]
 
     def test_non_psd_embedding_raises(self, monkeypatch, fresh_roots):
         # an autocovariance no embedding size makes non-negative definite:
@@ -700,15 +723,10 @@ class _ProbeSeed:
         return self.rngs[stream]
 
 
-def _sampler_node_law(*args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of (X, Y) at the nodes that sample_tfe_system
+def _sampler_node_law(nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the vector ``nodes(seed)`` that a sampler
     draws: it is linear in its standard normals, so the mean is its value at
     zero normals and the covariance is J J' over the unit-normal responses."""
-
-    def nodes(seed):
-        s = sample_tfe_system(*args, seed=seed, **kwargs)
-        return np.concatenate([s.slow.values, s.fast.values])
-
     counter = _ProbeSeed()
     mean = nodes(counter)
     cols = [
@@ -738,9 +756,14 @@ class TestTfeNodeLaw:
         self, theta, eta, eps, hurst, delta, count, cap, y0
     ):
         grid = SamplingGrid(delta=delta, count=count)
-        mean, cov = _sampler_node_law(
-            theta, eta, eps, hurst, grid, x0=0.7, y0=y0, refine=1, max_substeps=cap
-        )
+
+        def nodes(seed):
+            s = sample_tfe_system(
+                theta, eta, eps, hurst, grid, seed, x0=0.7, y0=y0, refine=1, max_substeps=cap
+            )
+            return np.concatenate([s.slow.values, s.fast.values])
+
+        mean, cov = _sampler_node_law(nodes)
         m = simulate._substeps_per_cell(1.0 / eps, delta, 1, cap)
         want_mean, want_cov = tfe_scheme_node_law(
             theta, eta, eps, hurst, delta, count, m, 0.7, y0
@@ -756,3 +779,141 @@ class TestTfeNodeLaw:
         sample_tfe_system(1.0, 0.01, 1e-3, 0.7, grid, seed)
         assert seed.rngs[STREAM_BROWNIAN].used == 1 + 2 * 10
         assert seed.rngs[STREAM_DRIVER].used == 2 * 10
+
+
+def _physical_fbm_node_law(params, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of (Y_0..Y_n, sigma B_1..sigma B_n) as
+    sample_physical_fbm draws them."""
+
+    def nodes(seed):
+        s = sample_physical_fbm(params, grid, seed)
+        return np.concatenate([s.fast.values, s.driver.values[1:]])
+
+    return _sampler_node_law(nodes)
+
+
+def _clipping_bound(params, grid) -> np.ndarray:
+    """Bound on how far clipping the pair embedding's negative eigenvalues
+    moves each entry of the (Y, sigma B) node covariance: kappa a_i a_j.
+
+    Per frequency the clipped part of the spectrum is D^(1/2) V diag(w-) V^H
+    D^(1/2) with D the components' spectral maxima, so a unit-covariance
+    entry of components (a, b) moves by at most s_a s_b kappa, kappa the
+    clipped eigenvalue mass over the 2m frequencies and s = sqrt(diag D);
+    a node's a_i sums |coefficient| * s over the unit values it is built
+    from.  Zero when the embedding is non-negative definite."""
+    sigma, hurst, eps = params.sigma, params.hurst, params.epsilon
+    law = simulate._FastSlowPair(eps / grid.delta)
+    m = simulate._embedding_half_size(hurst, law, grid.count + 1)
+    spectrum = simulate._pair_unit_spectrum(hurst, law.ratio, m)
+    s = np.sqrt(spectrum[:, [0, 1], [0, 1]].real.max(axis=0))
+    w = np.linalg.eigvalsh(spectrum / (s[:, None] * s))
+    mass = np.full(m + 1, 2.0)
+    mass[[0, m]] = 1.0
+    kappa = float(mass @ np.clip(-w, 0.0, None).sum(axis=1))
+    k = np.arange(1, grid.count + 1)
+    a = np.concatenate([
+        np.full(grid.count + 1, sigma * s[0]),
+        sigma * grid.delta**hurst * k * s[1] + 2.0 * sigma * eps**hurst * s[0],
+    ])
+    return kappa * np.outer(a, a)
+
+
+class TestPhysicalFbmNodeLaw:
+    """The pair sampler's node law against ``oracles.physical_fbm_node_law``:
+    fast block from r, driver block fBm, cross block by quadrature (the
+    closed Brownian pair at H = 1/2)."""
+
+    @given(
+        st.one_of(st.just(0.5), st.floats(0.3, 0.95)),
+        st.floats(-1.0, 2.0),
+        st.floats(0.01, 1.0),
+        st.integers(1, 5),
+    )
+    @example(0.95, 1.5, 0.25, 5)  # an embedding with clipped eigenvalues
+    def test_matches_the_oracle(self, hurst, log_ratio, delta, count):
+        # exact up to the embedding's clipped negative eigenvalues, which
+        # the floor admits at H >= 0.8 and eps/delta >= 30 (see
+        # _clipping_bound); read with the driver's and the slow
+        # increments' identities
+        sigma, eps = 1.3, delta * 10.0**log_ratio
+        params = MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps)
+        grid = SamplingGrid(delta=delta, count=count)
+        mean, cov = _physical_fbm_node_law(params, grid)
+        want = physical_fbm_node_law(sigma, hurst, eps, delta, count)
+        slack = 1e-10 * np.max(np.abs(want)) + _clipping_bound(params, grid)
+        assert not mean.any()
+        assert np.all(np.abs(cov - want) <= slack)
+
+        n = count
+        driver = np.zeros((n, 2 * n + 1))  # sigma (B_k - B_(k-1))
+        driver[:, n + 1 :] = np.eye(n) - np.eye(n, k=-1)
+        slow = driver.copy()  # minus eps^H (Y_k - Y_(k-1))
+        slow[:, : n + 1] = -(eps**hurst) * (np.eye(n, n + 1, k=1) - np.eye(n, n + 1))
+        unit = sigma**2 * delta ** (2 * hurst)
+        targets = (
+            (driver, toeplitz(unit * unit_autocovariance(hurst, np.arange(n)))),
+            (slow, toeplitz(unit * simulate._slow_unit_autocovariance(hurst, eps / delta, n - 1))),
+        )
+        for rows, target in targets:
+            bound = np.abs(rows) @ slack @ np.abs(rows).T
+            assert np.all(np.abs(rows @ cov @ rows.T - target) <= bound)
+
+    @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0, 100.0])
+    def test_brownian_pair_is_closed_form(self, ratio):
+        sigma, delta, count = 0.9, 0.25, 6
+        params = MultiscaleParams(sigma=sigma, hurst=0.5, epsilon=ratio * delta)
+        _, cov = _physical_fbm_node_law(params, SamplingGrid(delta=delta, count=count))
+        want = physical_fbm_node_law(sigma, 0.5, ratio * delta, delta, count)
+        assert np.max(np.abs(cov - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_reach_at_a_hundred_cells(self, fresh_roots):
+        # every (H, eps/delta) samples; its half-size is the slow law's
+        # (100, or 200 and 800 and 400 and 3200 where that doubles) rounded
+        # up to 5-smooth 108 at 101 pairs, or one doubling above it
+        half_sizes = {
+            (0.5, 1.0): 108, (0.5, 10.0): 108, (0.5, 100.0): 216,
+            (0.7, 1.0): 108, (0.7, 10.0): 108, (0.7, 100.0): 864,
+            (0.95, 1.0): 108, (0.95, 10.0): 864, (0.95, 100.0): 3456,
+        }
+        grid = SamplingGrid(delta=0.25, count=100)
+        for (hurst, ratio), m in half_sizes.items():
+            params = MultiscaleParams(sigma=1.0, hurst=hurst, epsilon=ratio * 0.25)
+            s = sample_physical_fbm(params, grid, SeedSpec(0))
+            assert np.all(np.isfinite(s.driver.values))
+            law = simulate._FastSlowPair(ratio)
+            assert simulate._embedding_half_size(hurst, law, 101) == m
+
+    def test_draws_one_stream_of_pairs(self):
+        # one generator, two rows of 2m normals for the n + 1 pairs
+        seed = _ProbeSeed()
+        params = MultiscaleParams(sigma=1.0, hurst=0.7, epsilon=0.25)
+        sample_physical_fbm(params, SamplingGrid(delta=0.25, count=100), seed)
+        assert list(seed.rngs) == [STREAM_DRIVER]
+        assert seed.rngs[STREAM_DRIVER].used == 2 * 2 * 108
+
+    def test_floor_is_per_component(self, monkeypatch, fresh_roots):
+        # a dip of -1e-6 of the slow component's own scale fails, although
+        # it is -1e-10 of the fast component's
+        def spectrum(hurst, ratio, m):
+            out = np.zeros((m + 1, 2, 2), dtype=complex)
+            out[:, 0, 0], out[:, 1, 1] = 1.0, 1e-4
+            out[1, 1, 1] = -1e-10
+            return out
+
+        monkeypatch.setattr(simulate, "_pair_unit_spectrum", spectrum)
+        law = simulate._FastSlowPair(2.0)
+        with pytest.raises(NumericFailure, match=r"fast/slow pair eps/delta=2\.0, m=8\)"):
+            simulate._circulant_roots(0.7, law, 8)
+
+    def test_unembeddable_pair_names_its_law(self, monkeypatch, fresh_roots):
+        # a NaN spectrum fails the same check: the doubling stops at its cap
+        monkeypatch.setattr(
+            simulate, "_pair_unit_spectrum",
+            lambda hurst, ratio, m: np.full((m + 1, 2, 2), np.nan, dtype=complex),
+        )
+        cap = simulate._MAX_GROWN_HALF_SIZE
+        params = MultiscaleParams(sigma=1.0, hurst=0.7, epsilon=0.5)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericFailure, match=rf"pair eps/delta=2\.0, m={cap}\)"):
+                sample_physical_fbm(params, SamplingGrid(delta=0.25, count=7), SeedSpec(0))
