@@ -15,6 +15,8 @@ Submodules by topic:
 * :mod:`fraclab.cli` - command line interface
 """
 
+# loaded for bench/tracing.py, which patches golden_section_minimize by name
+from . import optimize  # noqa: F401
 from .calibration import (
     CalibrationDiagnostic,
     CalibrationLevel,

@@ -1,5 +1,5 @@
 """Deterministic one-dimensional minimisation: a coarse uniform grid seeds a
-golden-section refinement, used by the averaging-loss estimator."""
+golden-section refinement: the reference the tests check tfe_estimate by."""
 
 from __future__ import annotations
 

@@ -246,8 +246,8 @@ def _embedding_half_size(hurst: float, law: _Law, n: int) -> int:
     next_fast_len(n, real=True), doubled while the embedding is not
     non-negative definite (Wood & Chan, JCGS 3, 1994), which happens for
     the slow component when eps/delta is large against n.  The first n
-    samples of any longer stream are still exact.  NumericFailure once m
-    reaches _MAX_GROWN_HALF_SIZE."""
+    samples of any longer stream are still exact.  NumericFailure once m,
+    clamped at the 5-smooth _MAX_GROWN_HALF_SIZE, reaches it."""
     m = next_fast_len(n, real=True)
     while True:
         try:
@@ -256,7 +256,7 @@ def _embedding_half_size(hurst: float, law: _Law, n: int) -> int:
         except NumericFailure:
             if m >= _MAX_GROWN_HALF_SIZE:
                 raise
-            m = next_fast_len(2 * m, real=True)
+            m = min(next_fast_len(2 * m, real=True), _MAX_GROWN_HALF_SIZE)
 
 
 def _unit_stream(

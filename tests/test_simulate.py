@@ -564,6 +564,12 @@ class TestSlowComponent:
         with pytest.raises(NumericFailure, match=rf"H=0\.7, eps/delta=0\.2, m={cap}\)"):
             sample_slow_component(params, grid, SeedSpec(0))
         assert sizes == [8 * 2**k for k in range(14)]
+        # from a length that is not a power of two the 5-smooth doubling
+        # (108, 216, ..., 55 296) is clamped at the cap, never passing it
+        sizes.clear()
+        with pytest.raises(NumericFailure, match=rf"m={cap}\)"):
+            sample_slow_component(params, SamplingGrid(delta=0.25, count=108), SeedSpec(0))
+        assert sizes == [108 * 2**k for k in range(10)] + [cap]
         # a NaN autocovariance fails the same check instead of sampling NaN
         monkeypatch.setattr(
             simulate, "_slow_unit_autocovariance",

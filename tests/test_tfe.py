@@ -1,9 +1,14 @@
 """Trajectory-fitting tests: the closed-form averaged path, hand values and
-minima of the fitting loss, noiseless and noisy drift recovery, failure on
+minima of the fitting loss, noiseless and noisy drift recovery, agreement
+with a golden-section search on the same grid, bounded memory, failure on
 unidentifiable data, and the strong-averaging diagnostic."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraclab import (
     NumericFailure,
@@ -17,6 +22,7 @@ from fraclab import (
     tfe_estimate,
     tfe_loss,
 )
+from fraclab.optimize import golden_section_minimize
 
 
 class TestAveragedTrajectory:
@@ -81,11 +87,73 @@ class TestTfeEstimate:
         assert abs(tfe_estimate(sample.slow, instance) - 1.0) < 0.1
 
     def test_flat_loss_fails_loudly(self):
+        # at x0 = 0 the fitted path is 0 at every drift, whatever the data
         grid = SamplingGrid(delta=0.1, count=10)
-        flat = Trajectory(grid, np.zeros(11))
         instance = TfeInstance(theta=1.0, x0=0.0)
-        with pytest.raises(NumericFailure, match="flat fitting loss"):
-            tfe_estimate(flat, instance)
+        for later in (np.zeros(10), np.linspace(0.5, -2.0, 10)):
+            flat = Trajectory(grid, np.concatenate([[0.0], later]))
+            with pytest.raises(NumericFailure, match=r"flat fitting loss.*x0=0\.0"):
+                tfe_estimate(flat, instance)
+
+    @given(
+        theta=st.floats(0.05, 6.0),
+        x0=st.floats(0.1, 5.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        noise=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+        count=st.integers(1, 300),
+        lo=st.floats(-3.0, 2.0),
+        width=st.floats(0.5, 20.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_golden_section_on_the_same_grid(
+        self, theta, x0, sign, noise, count, lo, width, seed
+    ):
+        grid = SamplingGrid(delta=1.0 / count, count=count)
+        clean = averaged_trajectory(theta, sign * x0, grid).values
+        jitter = noise * np.random.default_rng(seed).standard_normal(count)
+        data = Trajectory(grid, np.concatenate([clean[:1], clean[1:] + jitter]))
+        hi = max(lo, 0.0) + width
+        instance = TfeInstance(theta=theta, x0=sign * x0, bounds=(lo, hi))
+        got = tfe_estimate(data, instance)
+        ref, ref_loss = golden_section_minimize(
+            lambda th: tfe_loss(th, data), max(lo, 0.0), hi
+        )
+        # golden section ranks loss values, so under its tol of 1e-8 it can
+        # place the minimiser no closer than where L'' d^2 / 2 reaches the
+        # loss's rounding error
+        t, x = grid.nodes[1:], data.values[1:]
+        fitted = data.values[0] * np.exp(-ref * t)
+        curv = 2 * np.sum((t * fitted) ** 2 - t**2 * fitted * (x - fitted))
+        blur = np.sqrt(32 * np.finfo(float).eps * ref_loss / abs(curv))
+        assert max(lo, 0.0) <= got <= hi
+        assert abs(got - ref) <= 1e-8 + blur
+        assert tfe_loss(got, data) <= ref_loss * (1 + 1e-12)
+
+    def test_rising_data_returns_the_lower_bound(self):
+        # the loss is least at a negative drift, so the fit stops at 0
+        grid = SamplingGrid(delta=0.05, count=40)
+        data = Trajectory(grid, 0.8 * np.exp(0.3 * grid.nodes))
+        for lo in (-2.0, 0.0):
+            instance = TfeInstance(theta=1.0, x0=0.8, bounds=(lo, 5.0))
+            assert tfe_estimate(data, instance) == 0.0
+        instance = TfeInstance(theta=1.0, x0=0.8, bounds=(0.25, 5.0))
+        assert tfe_estimate(data, instance) == 0.25
+
+    def test_memory_is_linear_in_size(self):
+        # a long trajectory: the grid losses are taken in row blocks, far
+        # below the 64 n doubles of one unblocked grid
+        n = 2**18
+        grid = SamplingGrid(delta=1.0 / n, count=n)
+        data = averaged_trajectory(1.3, 1.0, grid)
+        instance = TfeInstance(theta=1.3, x0=1.0)
+        tracemalloc.start()
+        try:
+            got = tfe_estimate(data, instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - 1.3) < 1e-9
+        assert peak < 8 * n * 8
 
     def test_bounds_clamped_to_nonnegative(self):
         grid = SamplingGrid(delta=0.1, count=20)
