@@ -13,8 +13,9 @@ import csv
 import json
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -1140,6 +1141,14 @@ def _run_replicate(name: str, params: dict, master: int, replicate: int):
         raise NumericFailure(f"experiment '{name}' replicate {replicate}: {exc}") from exc
 
 
+def _run_chunk(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
+    """Rows of a contiguous run of replicates in order; the first failure raises."""
+    rows: list[ResultRow] = []
+    for r in replicates:
+        rows.extend(_run_replicate(name, params, master, r))
+    return rows
+
+
 def run_config(config: ExperimentConfig) -> ExperimentResult:
     if config.experiment not in _REGISTRY:
         raise ConfigError(
@@ -1152,21 +1161,17 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
         config.replicates if config.replicates is not None else spec.default_replicates
     )
 
-    rows: list[ResultRow] = []
+    job = (config.experiment, params, config.seed)
     if config.threads > 1 and replicates > 1:
-        gathered: dict[int, list[ResultRow]] = {}
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            futures = {
-                pool.submit(_run_replicate, config.experiment, params, config.seed, r): r
-                for r in range(replicates)
-            }
-            for fut in as_completed(futures):
-                gathered[futures[fut]] = fut.result()
-        for r in range(replicates):
-            rows.extend(gathered[r])
+        # contiguous chunks, mapped in order: serial row order, and the lowest
+        # failing replicate raises, as in the serial loop
+        chunks = min(replicates, 4 * config.threads)
+        parts = [range(replicates * c // chunks, replicates * (c + 1) // chunks)
+                 for c in range(chunks)]
+        with ProcessPoolExecutor(max_workers=min(config.threads, chunks)) as pool:
+            rows = [row for part in pool.map(partial(_run_chunk, *job), parts) for row in part]
     else:
-        for r in range(replicates):
-            rows.extend(_run_replicate(config.experiment, params, config.seed, r))
+        rows = _run_chunk(*job, range(replicates))
 
     summary = {
         "experiment": config.experiment,

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _MAX_LEVEL = 3
+_DP_BLOCK = 32  # columns per block of the p-variation program: O(32 N) memory
 
 
 def _check_level(level: int) -> None:
@@ -183,17 +184,32 @@ def p_variation_norm(values: np.ndarray, p: float) -> float:
         z = z[:, None]
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("need at least two sample points")
-    n = z.shape[0] - 1
-    return _pvar_sup(lambda j: np.linalg.norm(z[j] - z[:j], axis=1), n, p) ** (1.0 / p)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("values must be finite")
+
+    def gain_rows(lo, hi):
+        return np.linalg.norm(z[lo:hi, None] - z[:hi], axis=2)
+
+    return _pvar_sup(gain_rows, z.shape[0] - 1, p) ** (1.0 / p)
 
 
-def _pvar_sup(increment_fn, n: int, q: float) -> float:
+def _pvar_sup(gain_rows, n: int, q: float) -> float:
     """sup over node partitions of sum |D(t_i, t_{i+1})|^q for a general
-    two-parameter function D given by increment_fn(j) -> |D(i, j)| for i<j."""
+    two-parameter function D, read in column blocks: gain_rows(lo, hi) is a
+    (hi - lo) x hi array whose row j - lo holds |D(i, j)| at column i < j.
+
+    best[j] = max over i < j of best[i] + |D(i, j)|^q: one vectorised max over
+    the i before each block, then the in-block i one column at a time.  max is
+    exact, so this is bit-identical to a column-by-column walk.
+    """
     best = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        gains = increment_fn(j) ** q
-        best[j] = np.max(best[:j] + gains)
+    for lo in range(1, n + 1, _DP_BLOCK):
+        hi = min(lo + _DP_BLOCK, n + 1)
+        gains = gain_rows(lo, hi) ** q
+        block = np.max(gains[:, :lo] + best[:lo], axis=1)
+        for k in range(1, hi - lo):  # block[k - 1] is final: extend it by one step
+            np.maximum(block[k:], gains[k:, lo + k - 1] + block[k - 1], out=block[k:])
+        best[lo:hi] = block
     return float(best[n])
 
 
@@ -243,6 +259,20 @@ def _check_lift_pair(a: ScalarRoughLift, b: ScalarRoughLift) -> None:
         raise ValueError("lifts must share level and p")
 
 
+def _lift_gaps(a: ScalarRoughLift, b: ScalarRoughLift, m: int):
+    """Column blocks of |D_m(i, j)|, the difference of the two lifts'
+    level-m entries over [t_i, t_j], in the layout `_pvar_sup` reads."""
+    za, zb = a.samples, b.samples
+    fact = math.factorial(m)
+
+    def gain_rows(lo, hi):
+        da = (za[lo:hi, None] - za[:hi]) ** m
+        db = (zb[lo:hi, None] - zb[:hi]) ** m
+        return np.abs(da - db) / fact
+
+    return gain_rows
+
+
 def rough_pvar_distance(a: ScalarRoughLift, b: ScalarRoughLift) -> float:
     """Inhomogeneous p-variation distance between two scalar lifts:
 
@@ -252,19 +282,10 @@ def rough_pvar_distance(a: ScalarRoughLift, b: ScalarRoughLift) -> float:
     where D_m(s, t) is the difference of level-m entries over [s, t].
     """
     _check_lift_pair(a, b)
-    za, zb = a.samples, b.samples
-    n = za.shape[0] - 1
+    n = a.samples.shape[0] - 1
     worst = 0.0
     for m in range(1, a.level + 1):
-        fact = math.factorial(m)
-
-        def increment_fn(j, m=m, fact=fact):
-            da = (za[j] - za[:j]) ** m
-            db = (zb[j] - zb[:j]) ** m
-            return np.abs(da - db) / fact
-
-        total = _pvar_sup(increment_fn, n, a.p / m)
-        worst = max(worst, total ** (m / a.p))
+        worst = max(worst, _pvar_sup(_lift_gaps(a, b, m), n, a.p / m) ** (m / a.p))
     return worst
 
 
@@ -283,18 +304,17 @@ def holder_distance(
     _check_lift_pair(a, b)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    za, zb = a.samples, b.samples
-    n = za.shape[0] - 1
+    n = a.samples.shape[0] - 1
     t = np.arange(n + 1, dtype=float) if times is None else np.asarray(times, float)
-    if t.shape != (n + 1,) or np.any(np.diff(t) <= 0):
+    if t.shape != (n + 1,) or not np.all(np.diff(t) > 0):  # NaN fails too
         raise ValueError("times must be strictly increasing with one entry per node")
     worst = 0.0
     for m in range(1, a.level + 1):
-        fact = math.factorial(m)
-        for j in range(1, n + 1):
-            num = (np.abs((za[j] - za[:j]) ** m - (zb[j] - zb[:j]) ** m) / fact) ** (
-                1.0 / m
-            )
-            ratio = num / (t[j] - t[:j]) ** alpha
-            worst = max(worst, float(ratio.max()))
+        gain_rows = _lift_gaps(a, b, m)
+        for lo in range(1, n + 1, _DP_BLOCK):
+            hi = min(lo + _DP_BLOCK, n + 1)
+            span = t[lo:hi, None] - t[:hi]
+            below = span > 0  # the pairs i < j
+            ratio = gain_rows(lo, hi) ** (1.0 / m) / np.where(below, span, 1.0) ** alpha
+            worst = max(worst, float(ratio[below].max()))
     return worst

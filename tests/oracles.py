@@ -143,6 +143,52 @@ def exhaustive_p_variation(values: np.ndarray, p: float) -> float:
     return best ** (1.0 / p)
 
 
+def column_pvar_sup(increment_fn, n: int, q: float) -> float:
+    """sup over node partitions of sum |D(t_i, t_{i+1})|^q by the
+    column-by-column dynamic program: increment_fn(j) -> |D(i, j)| for i < j."""
+    best = np.zeros(n + 1)
+    for j in range(1, n + 1):
+        gains = increment_fn(j) ** q
+        best[j] = np.max(best[:j] + gains)
+    return float(best[n])
+
+
+def column_p_variation(values: np.ndarray, p: float) -> float:
+    """p-variation over node partitions by the column-by-column program."""
+    z = np.asarray(values, dtype=float)
+    if z.ndim == 1:
+        z = z[:, None]
+    n = z.shape[0] - 1
+    return column_pvar_sup(lambda j: np.linalg.norm(z[j] - z[:j], axis=1), n, p) ** (1.0 / p)
+
+
+def column_rough_distance(za: np.ndarray, zb: np.ndarray, level: int, p: float) -> float:
+    """Inhomogeneous p-variation distance of two scalar lifts by the
+    column-by-column program, one level at a time."""
+    n = len(za) - 1
+    worst = 0.0
+    for m in range(1, level + 1):
+        fact = math.factorial(m)
+
+        def increment_fn(j, m=m, fact=fact):
+            return np.abs((za[j] - za[:j]) ** m - (zb[j] - zb[:j]) ** m) / fact
+
+        worst = max(worst, column_pvar_sup(increment_fn, n, p / m) ** (m / p))
+    return worst
+
+
+def column_holder_distance(za, zb, level: int, alpha: float, times) -> float:
+    """Holder-type distance of two scalar lifts, one column j at a time."""
+    worst = 0.0
+    for m in range(1, level + 1):
+        fact = math.factorial(m)
+        for j in range(1, len(za)):
+            gap = np.abs((za[j] - za[:j]) ** m - (zb[j] - zb[:j]) ** m) / fact
+            ratio = gap ** (1.0 / m) / (times[j] - times[:j]) ** alpha
+            worst = max(worst, float(ratio.max()))
+    return worst
+
+
 def quadrature_signature(samples: np.ndarray, level: int, refine: int = 2000) -> dict:
     """Iterated integrals of the piecewise-linear path through ``samples``
     by composite-trapezoid cumulative quadrature on a dense sub-grid.

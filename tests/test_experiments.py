@@ -2,12 +2,14 @@
 the registry surface, deterministic and thread-invariant replication, and
 failure propagation with replicate context."""
 
+import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
-from fraclab import NumericFailure, conjecture_scan
+from fraclab import NumericFailure, conjecture_scan, experiments
 from fraclab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -299,6 +301,51 @@ class TestRunConfig:
             csv_path, json_path = write_outputs(result, tmp_path / f"{threads}.csv")
             written.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert written[0] == written[1]
+
+    def test_workers_capped_at_chunk_count(self, monkeypatch):
+        # the pool forks all its workers up front: never more than the chunks
+        sizes = []
+
+        class SpyPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+        cfg = ExperimentConfig(
+            experiment="expansion-residual", seed=5, replicates=2, threads=4,
+            params=dict(CHEAP_EXPANSION),
+        )
+        result = run_config(cfg)
+        assert sizes == [2]
+        assert [r.replicate for r in result.rows] == sorted(r.replicate for r in result.rows)
+
+    def test_parallel_failure_is_the_lowest_failing_replicate(self, monkeypatch):
+        # replicate 1 fails late and replicate 4 at once; like the serial loop,
+        # the pooled run must report replicate 1 (patched before the fork)
+        spec = experiments._REGISTRY["expansion-residual"]
+
+        def failing(params, seed):
+            if seed.replicate == 1:
+                time.sleep(0.3)
+            if seed.replicate in (1, 4):
+                raise NumericFailure(f"planted failure {seed.replicate}")
+            return spec.replicate(params, seed)
+
+        monkeypatch.setitem(
+            experiments._REGISTRY, spec.name, dataclasses.replace(spec, replicate=failing)
+        )
+        messages = []
+        for threads in (1, 2):
+            cfg = ExperimentConfig(
+                experiment=spec.name, seed=5, replicates=6, threads=threads,
+                params=dict(CHEAP_EXPANSION),
+            )
+            with pytest.raises(NumericFailure) as info:
+                run_config(cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "replicate 1: planted failure 1" in messages[0]
 
     def test_failure_carries_replicate_context(self):
         # a zero initial state makes the fitting loss exactly flat

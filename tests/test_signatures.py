@@ -4,9 +4,12 @@ shuffle), and exhaustive-enumeration checks of the p-variation programs."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraclab import (
     ScalarRoughLift,
@@ -23,7 +26,16 @@ from fraclab import (
     tensor_multiply,
     tensor_unit,
 )
-from oracles import exhaustive_p_variation, quadrature_signature
+from oracles import (
+    column_holder_distance,
+    column_p_variation,
+    column_rough_distance,
+    exhaustive_p_variation,
+    quadrature_signature,
+)
+
+# node counts on and across the dynamic program's 32-column block edges
+BLOCK_EDGE_COUNTS = st.sampled_from([1, 2, 31, 32, 33, 34, 63, 64, 65, 96, 97, 128, 200])
 
 
 def brute_force_pair_pvar(da, db, level, p):
@@ -260,6 +272,49 @@ class TestPVariationNorm:
         with pytest.raises(ValueError, match="two sample points"):
             p_variation_norm(np.array([1.0]), 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            p_variation_norm(np.array([0.0, bad, 1.0]), 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            p_variation_norm(np.array([[0.0, 1.0], [2.0, bad]]), 1.5)
+
+    @given(
+        cells=BLOCK_EDGE_COUNTS,
+        dim=st.sampled_from([1, 3]),
+        p=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_program_equals_column_program(self, cells, dim, p, seed):
+        z = np.random.default_rng(seed).standard_normal((cells + 1, dim))
+        assert p_variation_norm(z, p) == column_p_variation(z, p)
+
+    @given(
+        cells=st.integers(1, 8),
+        dim=st.sampled_from([1, 3]),
+        p=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exhaustive_enumeration_property(self, cells, dim, p, seed):
+        z = np.random.default_rng(seed).standard_normal((cells + 1, dim))
+        assert p_variation_norm(z, p) == pytest.approx(
+            exhaustive_p_variation(z, p), rel=1e-12
+        )
+
+    def test_memory_is_linear_in_size(self):
+        # gains are built a block of columns at a time, never as the
+        # 8 n^2 bytes (134 MB) of a dense gain matrix
+        n = 4096
+        z = np.cumsum(np.random.default_rng(23).standard_normal(n + 1))
+        tracemalloc.start()
+        try:
+            value = p_variation_norm(z, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < 8 * 64 * (n + 1) * 8
+
 
 class TestLiftLevel:
     def test_thresholds(self):
@@ -330,6 +385,35 @@ class TestRoughDistance:
                 brute_force_pair_pvar(za, zb, level, p), rel=1e-12
             )
 
+    @given(
+        cells=BLOCK_EDGE_COUNTS,
+        level=st.integers(1, 3),
+        p=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_program_equals_column_program(self, cells, level, p, seed):
+        # p / level covers exponents below and above 1
+        rng = np.random.default_rng(seed)
+        za = np.cumsum(rng.standard_normal(cells + 1))
+        zb = za + 0.3 * rng.standard_normal(cells + 1)
+        a, b = lift_scalar_path(za, level, p), lift_scalar_path(zb, level, p)
+        assert rough_pvar_distance(a, b) == column_rough_distance(za, zb, level, p)
+
+    @given(
+        cells=st.integers(1, 8),
+        level=st.integers(1, 3),
+        p=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exhaustive_enumeration_property(self, cells, level, p, seed):
+        rng = np.random.default_rng(seed)
+        za = rng.standard_normal(cells + 1)
+        zb = za + 0.3 * rng.standard_normal(cells + 1)
+        a, b = lift_scalar_path(za, level, p), lift_scalar_path(zb, level, p)
+        assert rough_pvar_distance(a, b) == pytest.approx(
+            brute_force_pair_pvar(za, zb, level, p), rel=1e-12
+        )
+
     def test_pair_validation(self):
         a = lift_scalar_path(np.zeros(5), 2, 2.5)
         with pytest.raises(ValueError, match="sample count"):
@@ -364,9 +448,29 @@ class TestHolderDistance:
             a, b, 0.5, times=np.array([0.0, 4.0])
         ) == pytest.approx(0.5)
 
+    @given(
+        cells=BLOCK_EDGE_COUNTS,
+        level=st.integers(1, 3),
+        alpha=st.floats(0.05, 1.0),
+        uniform=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_equal_column_loop(self, cells, level, alpha, uniform, seed):
+        rng = np.random.default_rng(seed)
+        za = np.cumsum(rng.standard_normal(cells + 1))
+        zb = za + 0.3 * rng.standard_normal(cells + 1)
+        times = None if uniform else np.cumsum(rng.uniform(0.01, 1.0, cells + 1))
+        a, b = lift_scalar_path(za, level, 2.5), lift_scalar_path(zb, level, 2.5)
+        reference_times = np.arange(cells + 1.0) if uniform else times
+        assert holder_distance(a, b, alpha, times) == column_holder_distance(
+            za, zb, level, alpha, reference_times
+        )
+
     def test_times_validation(self):
         a = lift_scalar_path(np.zeros(4), 2, 2.5)
         with pytest.raises(ValueError, match="strictly increasing"):
             holder_distance(a, a, 0.5, times=np.array([0.0, 1.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            holder_distance(a, a, 0.5, times=np.array([0.0, np.nan, 2.0, 3.0]))
         with pytest.raises(ValueError, match="alpha"):
             holder_distance(a, a, 0.0)
