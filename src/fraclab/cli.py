@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -79,13 +80,18 @@ def _read_trajectory(path) -> Trajectory:
                     raise ConfigError(f"{path}: malformed row {rec}")
                 times.append(float(rec[0]))
                 values.append(float(rec[1]))
+                if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+                    raise ConfigError(
+                        f"{path}: non-finite cell on line {reader.line_num}: {rec}"
+                    )
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
     if len(times) < 2:
         raise ConfigError(f"{path}: need at least two nodes")
     diffs = np.diff(times)
     delta = float(diffs.mean())
-    if delta <= 0 or np.max(np.abs(diffs - delta)) > 1e-9 * max(1.0, delta):
+    # written so that NaN fails it: finite times can still overflow a step
+    if not (delta > 0 and np.max(np.abs(diffs - delta)) <= 1e-9 * max(1.0, delta)):
         raise ConfigError(f"{path}: time column is not a uniform grid")
     grid = SamplingGrid(delta=delta, count=len(times) - 1)
     return Trajectory(grid=grid, values=np.asarray(values))

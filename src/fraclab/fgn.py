@@ -1,8 +1,10 @@
 """Autocovariance of fractional Gaussian noise and the Toeplitz machinery
 built on it: a Gohberg-Semencul operator for the inverse covariance
-(solves and quadratic forms by FFT in O(N) memory), its spectral norm, and
-the stationary Ornstein-Uhlenbeck autocovariance under fractional driving,
-with its power-law expansion.
+(solves and quadratic forms by FFT in O(N) memory; its generator comes
+from preconditioned conjugate gradients, with Durbin's recursion as the
+positive-definiteness certificate), its spectral norm, and the stationary
+Ornstein-Uhlenbeck autocovariance under fractional driving, with its
+power-law expansion.
 
 The increment autocovariance at step delta and lag k is
 
@@ -95,6 +97,8 @@ def _durbin(
     coefficient has |kappa_k| < 1.  Returns ``(x, None)`` with
     x = (T - shift * I)^{-1} e_1 then, else ``(None, k)`` with k the first
     order at which |kappa_k| >= 1 (0 when the diagonal is not positive).
+    The certificate of positive definiteness: it decides where CG gives up,
+    and it is the test in the bisection for lambda_min.
     """
     row = np.asarray(first_row, dtype=float)
     t0 = row[0] - shift
@@ -128,11 +132,56 @@ class _Generator(NamedTuple):
     fft_len: int
 
 
+# CG's bound on its recursive residual norm (e_1 has unit norm) and its
+# iteration cap, past which Durbin's recursion decides
+_CG_TOL = 1e-15
+_CG_MAX_ITER = 200
+
+
+def _cg_first_column(row: np.ndarray, fft_len: int) -> np.ndarray | None:
+    """x = T^{-1} e_1, T symmetric Toeplitz with first row ``row`` (row[0] > 0),
+    by CG preconditioned with T. Chan's optimal circulant
+    c_j = ((N - j) t_j + j t_{N-j}) / N (Chan & Ng, SIAM Review 38, 1996);
+    T is applied by FFT at its circulant embedding of length ``fft_len``.
+    None, for Durbin's recursion to decide, where an eigenvalue of c or a
+    curvature p^T T p is not positive, or at the iteration cap."""
+    n = row.size
+    x = np.eye(1, n)[0] / row[0]
+    r = np.concatenate(([0.0], -row[1:] / row[0]))  # e_1 - T x, exactly
+    j = np.arange(n)
+    flipped = np.concatenate(([0.0], row[:0:-1]))  # t_{N-j} at j >= 1
+    circ = sfft.rfft(((n - j) * row + j * flipped) / n).real
+    if not circ.min() > 0:
+        return None
+    embedding = np.concatenate((row, np.zeros(fft_len - 2 * n + 1), flipped[1:]))
+    t_hat = sfft.rfft(embedding).real
+    p, rz_old = np.zeros(n), 1.0
+    for _ in range(_CG_MAX_ITER):
+        if r @ r <= _CG_TOL**2:
+            return x
+        z = sfft.irfft(sfft.rfft(r) / circ, n)
+        rz = r @ z
+        p = z + (rz / rz_old) * p
+        q = sfft.irfft(t_hat * sfft.rfft(p, fft_len), fft_len)[:n]
+        curvature = p @ q
+        if not curvature > 0:
+            return None
+        x += (rz / curvature) * p
+        r -= (rz / curvature) * q
+        rz_old = rz
+    return None
+
+
 @functools.lru_cache(maxsize=32)
 def _unit_generator(hurst: float, size: int) -> _Generator:
     """The read-only generator at unit step: Sigma_delta = delta^(2H)
-    Sigma_1, so every step shares one entry and only scales results."""
-    x, order = _durbin(unit_autocovariance(hurst, np.arange(size)))
+    Sigma_1, so every step shares one entry and only scales results.
+    x = Sigma_1^{-1} e_1 by CG in O(N log N), by Durbin where CG gives up."""
+    row = unit_autocovariance(hurst, np.arange(size))
+    fft_len = sfft.next_fast_len(2 * size - 1, real=True)
+    x = _cg_first_column(row, fft_len)
+    if x is None:
+        x, order = _durbin(row)
     if x is None:
         raise NumericFailure(
             f"fGn covariance (H={hurst}, N={size}) is not numerically positive "
@@ -141,7 +190,6 @@ def _unit_generator(hurst: float, size: int) -> _Generator:
         )
     y = np.zeros(size)
     y[1:] = x[:0:-1]
-    fft_len = sfft.next_fast_len(2 * size - 1, real=True)
     x_hat = sfft.rfft(x, fft_len)
     y_hat = sfft.rfft(y, fft_len)
     x_hat.flags.writeable = False
@@ -173,9 +221,10 @@ class FgnCovariance:
     def cholesky(self) -> _Generator:
         """The Gohberg-Semencul generator of the unit-step inverse (see
         ``_Generator``): a triangular-Toeplitz J-factorisation held as O(N)
-        FFT data, not a dense factor.  Built once per (hurst, N) by Durbin's
-        recursion; NumericFailure, naming the failing order, when Sigma is
-        not numerically positive definite."""
+        FFT data, not a dense factor.  Built once per (hurst, N) by
+        preconditioned CG in O(N log N) (``_unit_generator``), with Durbin's
+        recursion as the fallback; NumericFailure, naming Durbin's failing
+        order, when Sigma is not numerically positive definite."""
         if self._chol is None:
             self._chol = _unit_generator(self.hurst, self.size)
         return self._chol

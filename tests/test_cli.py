@@ -6,6 +6,7 @@ and the 0/2/3 exit-code contract."""
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,20 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "uniform" in err
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, capsys, tmp_path, column, cell):
+        rows = [["0.0", "0.0"], ["0.5", "1.0"], ["1.0", "2.0"], ["1.5", "3.0"]]
+        rows[2][column] = cell
+        path = tmp_path / "holes.csv"
+        path.write_text("time,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run_cli(capsys, "mle", "--data", str(path), "--hurst", "0.7")
+        assert rc == 2
+        assert "config error" in err and "holes.csv" in err
+        assert "non-finite cell on line 4" in err
 
     def test_numeric_failure_exits_3(self, capsys, tmp_path):
         # identically-zero data anchors the fit at zero, so the fitting loss

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate as sint
+from scipy import fft as sfft
+from scipy.linalg import matmul_toeplitz
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -148,7 +150,7 @@ class TestFgnCovariance:
 
 operator_cases = st.tuples(
     st.integers(1, 512),
-    st.floats(0.02, 0.98),
+    st.floats(0.005, 0.995),
     st.floats(1e-3, 10.0),
     st.integers(0, 2**32 - 1),
 )
@@ -157,6 +159,14 @@ operator_cases = st.tuples(
 def _case(case):
     size, hurst, delta, seed = case
     return FgnCovariance(hurst, delta, size), np.random.default_rng(seed)
+
+
+def _cg_column(hurst, size):
+    """The unit-step first row and CG's Sigma_1^{-1} e_1 at the generator's
+    embedding length."""
+    row = unit_autocovariance(hurst, np.arange(size))
+    fft_len = sfft.next_fast_len(2 * size - 1, real=True)
+    return row, fgn._cg_first_column(row, fft_len)
 
 
 class TestGeneratorOperator:
@@ -210,6 +220,44 @@ class TestGeneratorOperator:
         # Cauchy interlacing: lambda_min cannot rise when a row is added
         small = FgnCovariance(0.7, 1.0, 2048).inverse_spectral_norm()
         assert FgnCovariance(0.7, 1.0, 2049).inverse_spectral_norm() >= small
+
+    @pytest.mark.parametrize(
+        "hurst", [0.001, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999]
+    )
+    def test_cg_generator_matches_durbin(self, hurst):
+        # at the ends of the H range the two solvers part by more than 1e-12:
+        # near H = 0 the rounding of CG's FFT products is amplified by
+        # 1/lambda_min, about 3e6 at N = 4096; near H = 1 Durbin's own error
+        # is the larger one
+        rtol = 1e-12 if 0.05 <= hurst <= 0.95 else 1e-10
+        for size in (1, 2, 3, 64, 1000, 4096):
+            row, x = _cg_column(hurst, size)
+            want, _ = fgn._durbin(row)
+            assert np.linalg.norm(x - want) <= rtol * np.linalg.norm(want)
+            e1 = np.eye(1, size).ravel()
+            assert np.linalg.norm(matmul_toeplitz(row, x) - e1) <= 1e-11
+
+    def test_generator_is_exact_at_half(self):
+        fgn._unit_generator.cache_clear()
+        try:
+            for size in (1, 2, 64, 4096):
+                assert fgn._unit_generator(0.5, size).x0 == 1.0
+                _, x = _cg_column(0.5, size)
+                np.testing.assert_array_equal(x, np.eye(1, size).ravel())
+        finally:
+            fgn._unit_generator.cache_clear()
+
+    def test_durbin_builds_the_generator_past_the_cg_cap(self, monkeypatch):
+        monkeypatch.setattr(fgn, "_CG_MAX_ITER", 0)
+        fgn._unit_generator.cache_clear()
+        try:
+            for hurst, size in ((0.3, 100), (0.8, 257)):
+                gen = fgn._unit_generator(hurst, size)
+                x, _ = fgn._durbin(unit_autocovariance(hurst, np.arange(size)))
+                assert gen.x0 == x[0]
+                np.testing.assert_array_equal(gen.x_hat, sfft.rfft(x, gen.fft_len))
+        finally:
+            fgn._unit_generator.cache_clear()
 
     def test_durbin_reports_singular_order(self):
         x, order = fgn._durbin(np.array([1.0, 1.0, 1.0]))
