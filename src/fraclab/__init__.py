@@ -4,7 +4,7 @@ Submodules by topic:
 
 * :mod:`fraclab.grids` - grids, trajectories, parameter/seed containers
 * :mod:`fraclab.fgn` - fGn autocovariance and Toeplitz likelihood machinery
-* :mod:`fraclab.simulate` - exact/refined samplers for the processes studied
+* :mod:`fraclab.simulate` - exact node-level samplers for the processes studied
 * :mod:`fraclab.signatures` - truncated signature algebra and p-variation
 * :mod:`fraclab.calibration` - driver calibrations and the forward solution map
 * :mod:`fraclab.likelihood` - approximate log-likelihood, scores, profile MLE

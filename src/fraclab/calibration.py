@@ -21,7 +21,6 @@ from scipy.signal import lfilter
 from .grids import (
     FouParams,
     IncrementVector,
-    SamplingGrid,
     SeedSpec,
     Trajectory,
     make_grid,
@@ -175,8 +174,8 @@ def convergence_diagnostic(
     out = []
     for n in range(n_max + 1):
         stride = 2 ** (n_max + _TRUTH_LEVELS - n)
-        delta_n = truth.delta * stride
-        grid_n = SamplingGrid(delta_n, truth.count // stride)
+        grid_n = truth.coarsen(stride)
+        delta_n = grid_n.delta
         b_sub = Trajectory(grid_n, driver.values[::stride])
         x_sub = Trajectory(grid_n, x_truth.values[::stride])
 

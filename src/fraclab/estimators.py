@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .fgn import FgnCovariance
-from .grids import NumericFailure, SamplingGrid, Trajectory, second_order_increments
+from .fgn import FgnCovariance, _checked_covariance
+from .grids import NumericFailure, Trajectory, second_order_increments
 
 __all__ = [
     "sigma2_hat",
@@ -29,13 +29,7 @@ def sigma2_hat(
     (1/N) dx' Sigma^{-1} dx with Sigma the fGn increment covariance at the
     observation step and the supplied hurst."""
     grid = trajectory.grid
-    if cov is None:
-        cov = FgnCovariance(hurst, grid.delta, grid.count)
-    elif (cov.hurst, cov.delta, cov.size) != (hurst, grid.delta, grid.count):
-        raise ValueError(
-            "prebuilt covariance does not match (hurst, delta, count) = "
-            f"({hurst}, {grid.delta}, {grid.count})"
-        )
+    cov = _checked_covariance(hurst, grid, cov)
     dx = np.diff(trajectory.values)
     return cov.quadratic_form(dx) / grid.count
 
@@ -102,5 +96,4 @@ def decimated(fine: Trajectory) -> Trajectory:
     """The trajectory observed at every other node of ``fine``."""
     if fine.grid.count % 2 != 0:
         raise ValueError("decimation requires an even cell count")
-    grid = SamplingGrid(delta=2.0 * fine.grid.delta, count=fine.grid.count // 2)
-    return Trajectory(grid=grid, values=fine.values[::2].copy())
+    return Trajectory(grid=fine.grid.coarsen(2), values=fine.values[::2].copy())

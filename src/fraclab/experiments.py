@@ -24,7 +24,6 @@ from scipy import stats as sstats
 
 from . import estimators, traces
 from .calibration import convergence_diagnostic
-from .fgn import FgnCovariance
 from .grids import (
     STREAM_AUX,
     FouParams,
@@ -32,7 +31,6 @@ from .grids import (
     NumericFailure,
     SamplingGrid,
     SeedSpec,
-    Trajectory,
     make_grid,
 )
 from .likelihood import FouLikelihood
@@ -277,6 +275,13 @@ def _slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
 
 
+def _decreasing(values, strict: bool = True) -> bool:
+    """Whether each value is below the one before it (at most it, if not
+    ``strict``)."""
+    pairs = zip(values, values[1:])
+    return all(b < a for a, b in pairs) if strict else all(b <= a for a, b in pairs)
+
+
 def _group_values(rows, statistic, key):
     """{key(row): [values in replicate order]} for rows of one statistic."""
     out: dict = {}
@@ -298,35 +303,37 @@ _BIAS_DEFAULTS = {
 }
 
 
-def _rep_bias_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
+def _sigma2_rows(name: str, params: dict, seed: SeedSpec, cells) -> list[ResultRow]:
+    """sigma2_hat of the slow component at each (epsilon, delta, alpha) cell
+    (alpha None where it does not apply), cell i drawn from stream 3i."""
     sigma = params["model.sigma"]
     hurst = params["model.hurst"]
-    delta = params["grid.delta"]
-    grid = make_grid(delta, params["grid.horizon"])
-    cov = FgnCovariance(hurst, grid.delta, grid.count)
     rows = []
-    for i, ratio in enumerate(params["sweep.ratios"]):
-        eps = ratio * delta
+    for i, (eps, delta, alpha) in enumerate(cells):
+        grid = make_grid(delta, params["grid.horizon"])
         slow = sample_slow_component(
-            MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
-            grid,
-            seed,
-            stream=3 * i,
+            MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps), grid, seed, stream=3 * i
         )
-        value = estimators.sigma2_hat(slow, hurst, cov=cov)
         rows.append(
             ResultRow(
-                experiment="bias-sweep",
+                experiment=name,
                 replicate=seed.replicate,
                 statistic="sigma2_hat",
-                value=value,
+                value=estimators.sigma2_hat(slow, hurst),
                 epsilon=eps,
                 delta=delta,
+                alpha=alpha,
                 hurst=hurst,
                 sigma=sigma,
             )
         )
     return rows
+
+
+def _rep_bias_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
+    delta = params["grid.delta"]
+    cells = [(ratio * delta, delta, None) for ratio in params["sweep.ratios"]]
+    return _sigma2_rows("bias-sweep", params, seed, cells)
 
 
 def _sum_bias_sweep(params: dict, rows: list[ResultRow]) -> dict:
@@ -356,9 +363,7 @@ def _sum_bias_sweep(params: dict, rows: list[ResultRow]) -> dict:
         means.append(mean)
     summary = {
         "per_ratio": per_ratio,
-        "strictly_decreasing_in_ratio": bool(
-            all(b < a for a, b in zip(means, means[1:]))
-        ),
+        "strictly_decreasing_in_ratio": _decreasing(means),
     }
     if hurst == 0.5:
         summary["all_within_3se"] = bool(all(e["within_3se"] for e in per_ratio))
@@ -378,36 +383,10 @@ _RATE_DEFAULTS = {
 
 
 def _rep_consistency_rate(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    sigma = params["model.sigma"]
-    hurst = params["model.hurst"]
     alpha = params["sweep.alpha"]
-    rows = []
-    for i, lev in enumerate(params["sweep.eps_log2"]):
-        eps = 2.0**lev
-        delta = eps**alpha
-        grid = make_grid(delta, params["grid.horizon"])
-        slow = sample_slow_component(
-            MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
-            grid,
-            seed,
-            stream=3 * i,
-        )
-        cov = FgnCovariance(hurst, grid.delta, grid.count)
-        value = estimators.sigma2_hat(slow, hurst, cov=cov)
-        rows.append(
-            ResultRow(
-                experiment="consistency-rate",
-                replicate=seed.replicate,
-                statistic="sigma2_hat",
-                value=value,
-                epsilon=eps,
-                delta=delta,
-                alpha=alpha,
-                hurst=hurst,
-                sigma=sigma,
-            )
-        )
-    return rows
+    epsilons = [2.0**lev for lev in params["sweep.eps_log2"]]
+    cells = [(eps, eps**alpha, alpha) for eps in epsilons]
+    return _sigma2_rows("consistency-rate", params, seed, cells)
 
 
 def _sum_consistency_rate(params: dict, rows: list[ResultRow]) -> dict:
@@ -425,7 +404,7 @@ def _sum_consistency_rate(params: dict, rows: list[ResultRow]) -> dict:
     return {
         "epsilons": [float(e) for e in eps_list],
         "l2_errors": l2,
-        "monotone_decreasing": bool(all(b < a for a, b in zip(l2, l2[1:]))),
+        "monotone_decreasing": _decreasing(l2),
         "slope": slope,
         "slope_target": target,
         "slope_within_0p15": bool(abs(slope - target) <= 0.15),
@@ -445,32 +424,9 @@ _CLT_DEFAULTS = {
 
 
 def _rep_clt(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    sigma = params["model.sigma"]
-    hurst = params["model.hurst"]
     eps = params["model.epsilon"]
     alpha = params["sweep.alpha"]
-    delta = eps**alpha
-    grid = make_grid(delta, params["grid.horizon"])
-    slow = sample_slow_component(
-        MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
-        grid,
-        seed,
-    )
-    cov = FgnCovariance(hurst, grid.delta, grid.count)
-    value = estimators.sigma2_hat(slow, hurst, cov=cov)
-    return [
-        ResultRow(
-            experiment="clt",
-            replicate=seed.replicate,
-            statistic="sigma2_hat",
-            value=value,
-            epsilon=eps,
-            delta=delta,
-            alpha=alpha,
-            hurst=hurst,
-            sigma=sigma,
-        )
-    ]
+    return _sigma2_rows("clt", params, seed, [(eps, eps**alpha, alpha)])
 
 
 def _sum_clt(params: dict, rows: list[ResultRow]) -> dict:
@@ -513,33 +469,37 @@ _SCORE_DEFAULTS = {
 }
 
 
+def _fou_cells(name: str, params: dict, seed: SeedSpec, hursts):
+    """For each (hurst, delta) in hursts x sweep.deltas, the k-th drawn from
+    stream k: an approximate-model path, its likelihood context, and the
+    parameter columns of its rows."""
+    theta = params["model.theta"]
+    sigma = params["model.sigma"]
+    cells = [(hurst, delta) for hurst in hursts for delta in params["sweep.deltas"]]
+    for stream, (hurst, delta) in enumerate(cells):
+        grid = make_grid(delta, params["grid.horizon"])
+        x = sample_approximate_model(
+            FouParams(theta=theta, sigma=sigma, hurst=hurst), grid, seed, stream=stream
+        )
+        common = dict(
+            experiment=name,
+            replicate=seed.replicate,
+            delta=delta,
+            hurst=hurst,
+            theta=theta,
+            sigma=sigma,
+        )
+        yield x, FouLikelihood(hurst, grid), common
+
+
 def _rep_score_consistency(params: dict, seed: SeedSpec) -> list[ResultRow]:
     theta = params["model.theta"]
     sigma = params["model.sigma"]
     rows = []
-    stream = 0
-    for hurst in params["sweep.hursts"]:
-        for delta in params["sweep.deltas"]:
-            grid = make_grid(delta, params["grid.horizon"])
-            x = sample_approximate_model(
-                FouParams(theta=theta, sigma=sigma, hurst=hurst),
-                grid,
-                seed,
-                stream=stream,
-            )
-            stream += 1
-            lik = FouLikelihood(hurst, grid, cov=FgnCovariance(hurst, grid.delta, grid.count))
-            sc = lik.score(x, theta, sigma)
-            common = dict(
-                experiment="score-consistency",
-                replicate=seed.replicate,
-                delta=delta,
-                hurst=hurst,
-                theta=theta,
-                sigma=sigma,
-            )
-            rows.append(ResultRow(statistic="score_theta", value=sc.d_theta, **common))
-            rows.append(ResultRow(statistic="score_sigma", value=sc.d_sigma, **common))
+    for x, lik, common in _fou_cells("score-consistency", params, seed, params["sweep.hursts"]):
+        sc = lik.score(x, theta, sigma)
+        rows.append(ResultRow(statistic="score_theta", value=sc.d_theta, **common))
+        rows.append(ResultRow(statistic="score_sigma", value=sc.d_sigma, **common))
     return rows
 
 
@@ -555,7 +515,7 @@ def _sum_score_consistency(params: dict, rows: list[ResultRow]) -> dict:
             ]
             groups = _group_values(sub, stat, lambda r: r.delta)
             means = [float(np.mean(np.abs(groups[d]))) for d in deltas]
-            decreasing = bool(all(b < a for a, b in zip(means, means[1:])))
+            decreasing = _decreasing(means)
             entry[f"mean_abs_{stat}"] = means
             entry[f"{stat}_decreasing"] = decreasing
             all_ok = all_ok and decreasing
@@ -578,28 +538,15 @@ _EXPANSION_DEFAULTS = {
 def _rep_expansion_residual(params: dict, seed: SeedSpec) -> list[ResultRow]:
     theta = params["model.theta"]
     sigma = params["model.sigma"]
-    hurst = params["model.hurst"]
-    rows = []
-    for i, delta in enumerate(params["sweep.deltas"]):
-        grid = make_grid(delta, params["grid.horizon"])
-        x = sample_approximate_model(
-            FouParams(theta=theta, sigma=sigma, hurst=hurst), grid, seed, stream=i
+    cells = _fou_cells("expansion-residual", params, seed, (params["model.hurst"],))
+    return [
+        ResultRow(
+            statistic="abs_residual",
+            value=abs(lik.expansion_terms(x, theta, sigma).residual),
+            **common,
         )
-        lik = FouLikelihood(hurst, grid, cov=FgnCovariance(hurst, grid.delta, grid.count))
-        terms = lik.expansion_terms(x, theta, sigma)
-        rows.append(
-            ResultRow(
-                experiment="expansion-residual",
-                replicate=seed.replicate,
-                statistic="abs_residual",
-                value=abs(terms.residual),
-                delta=delta,
-                hurst=hurst,
-                theta=theta,
-                sigma=sigma,
-            )
-        )
-    return rows
+        for x, lik, common in cells
+    ]
 
 
 def _sum_expansion_residual(params: dict, rows: list[ResultRow]) -> dict:
@@ -828,9 +775,7 @@ def _sum_calibration(params: dict, rows: list[ResultRow]) -> dict:
             {
                 "replicate": int(rep),
                 "distances": [float(v) for v in values],
-                "non_increasing": bool(
-                    all(b <= a for a, b in zip(values, values[1:]))
-                ),
+                "non_increasing": _decreasing(values, strict=False),
                 "final_over_initial": float(values[-1] / values[0]),
             }
         )
@@ -844,9 +789,7 @@ def _sum_calibration(params: dict, rows: list[ResultRow]) -> dict:
     return {
         "p": float(p),
         "mean_distances": mean_distances,
-        "mean_decreasing": bool(
-            all(b < a for a, b in zip(mean_distances, mean_distances[1:]))
-        ),
+        "mean_decreasing": _decreasing(mean_distances),
         "per_seed": per_seed,
         "all_non_increasing": bool(all(s["non_increasing"] for s in per_seed)),
         "max_final_over_initial": float(
@@ -962,63 +905,34 @@ def _tfe_instance(params: dict) -> TfeInstance:
 
 def _rep_tfe_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
     theta0 = params["model.theta"]
-    x0 = params["model.x0"]
     hurst = params["model.hurst"]
-    refine = params["sim.refine"]
     grid = make_grid(params["grid.delta"], params["grid.horizon"])
     instance = _tfe_instance(params)
-    schedule = list(zip(params["sweep.schedule_eps"], params["sweep.schedule_eta"]))
+    schedule = zip(params["sweep.schedule_eps"], params["sweep.schedule_eta"])
+    legs = (
+        [("theta_hat_schedule", eps, eta) for eps, eta in schedule]
+        + [("theta_hat_fluct", params["model.epsilon_small"], eta)
+           for eta in params["sweep.eta_levels"]]
+        + [("sup_error", 2.0**lev, 0.0) for lev in params["sweep.avg_eps_log2"]]
+    )
     rows = []
-    leg = 0
-
-    def _sample(eps, eta):
-        nonlocal leg
-        s = sample_tfe_system(
-            theta0, eta, eps, hurst, grid, seed, x0=x0, refine=refine, stream=3 * leg
+    for leg, (statistic, eps, eta) in enumerate(legs):
+        sample = sample_tfe_system(
+            theta0, eta, eps, hurst, grid, seed,
+            x0=params["model.x0"], refine=params["sim.refine"], stream=3 * leg,
         )
-        leg += 1
-        return s
-
-    for eps, eta in schedule:
-        sample = _sample(eps, eta)
+        if statistic == "sup_error":
+            value = sup_node_error(sample)
+        else:
+            value = tfe_estimate(sample.slow, instance)
         rows.append(
             ResultRow(
                 experiment="tfe-sweep",
                 replicate=seed.replicate,
-                statistic="theta_hat_schedule",
-                value=tfe_estimate(sample.slow, instance),
+                statistic=statistic,
+                value=value,
                 epsilon=eps,
                 eta=eta,
-                hurst=hurst,
-                theta=theta0,
-            )
-        )
-    eps_small = params["model.epsilon_small"]
-    for eta in params["sweep.eta_levels"]:
-        sample = _sample(eps_small, eta)
-        rows.append(
-            ResultRow(
-                experiment="tfe-sweep",
-                replicate=seed.replicate,
-                statistic="theta_hat_fluct",
-                value=tfe_estimate(sample.slow, instance),
-                epsilon=eps_small,
-                eta=eta,
-                hurst=hurst,
-                theta=theta0,
-            )
-        )
-    for lev in params["sweep.avg_eps_log2"]:
-        eps = 2.0**lev
-        sample = _sample(eps, 0.0)
-        rows.append(
-            ResultRow(
-                experiment="tfe-sweep",
-                replicate=seed.replicate,
-                statistic="sup_error",
-                value=sup_node_error(sample),
-                epsilon=eps,
-                eta=0.0,
                 hurst=hurst,
                 theta=theta0,
             )
@@ -1061,9 +975,7 @@ def _sum_tfe_sweep(params: dict, rows: list[ResultRow]) -> dict:
         "recovery_ok": bool(recovery_error < params["tol.recovery"]),
         "schedule": [[float(e), float(t)] for e, t in schedule],
         "schedule_mean_abs_error": sched_means,
-        "schedule_decreasing": bool(
-            all(b < a for a, b in zip(sched_means, sched_means[1:]))
-        ),
+        "schedule_decreasing": _decreasing(sched_means),
         "fluct_etas": [float(e) for e in etas],
         "fluct_normalized_sd": sds,
         "fluct_spread": float(spread),

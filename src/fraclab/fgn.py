@@ -211,11 +211,20 @@ class FgnCovariance:
     def __init__(self, hurst: float, delta: float, size: int):
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
+        if not (delta > 0 and np.isfinite(delta)):
+            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0.0 < hurst < 1.0:
+            raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
         self.hurst = float(hurst)
         self.delta = float(delta)
         self.size = int(size)
-        self.first_row = fgn_autocovariance(hurst, delta, size - 1)
         self._chol: _Generator | None = None
+
+    @functools.cached_property
+    def first_row(self) -> np.ndarray:
+        """gamma(0..N-1) at step delta, built on first read: solves and
+        quadratic forms go through the generator and never read it."""
+        return fgn_autocovariance(self.hurst, self.delta, self.size - 1)
 
     @property
     def cholesky(self) -> _Generator:
@@ -293,6 +302,20 @@ class FgnCovariance:
             else:
                 lo = mid
         return 1.0 / (self.delta ** (2.0 * self.hurst) * 0.5 * (lo + hi))
+
+
+def _checked_covariance(hurst: float, grid, cov: FgnCovariance | None) -> FgnCovariance:
+    """``cov`` if it is the covariance of fGn at ``hurst`` on ``grid``, a new
+    one if it is None (the generator behind it is shared per (hurst, N)
+    anyway); ValueError if it belongs to another (hurst, delta, count)."""
+    if cov is None:
+        return FgnCovariance(hurst, grid.delta, grid.count)
+    if (cov.hurst, cov.delta, cov.size) != (hurst, grid.delta, grid.count):
+        raise ValueError(
+            "prebuilt covariance does not match (hurst, delta, count) = "
+            f"({hurst}, {grid.delta}, {grid.count})"
+        )
+    return cov
 
 
 def fou_autocovariance_expansion(

@@ -41,6 +41,13 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must contain only finite values")
 
 
+# The most cells a grid may hold, checked before anything is allocated.  A
+# sampled path with its profile fit peaks near 160 bytes per cell (a float64
+# array is 8; the FFT buffers run at twice the length), so this bounds one
+# such call near 2.7 GB.
+_MAX_CELLS = 2**24
+
+
 @dataclass(frozen=True)
 class SamplingGrid:
     """Uniform grid t_k = k*delta, k = 0..count, horizon == count*delta."""
@@ -53,6 +60,10 @@ class SamplingGrid:
             raise ValueError(f"grid step must be positive and finite, got {self.delta}")
         if self.count < 1:
             raise ValueError(f"grid needs at least one cell, got count={self.count}")
+        if self.count > _MAX_CELLS:
+            raise ValueError(
+                f"grid of {self.count} cells exceeds the limit of {_MAX_CELLS} cells"
+            )
 
     @property
     def horizon(self) -> float:
@@ -62,12 +73,6 @@ class SamplingGrid:
     def nodes(self) -> np.ndarray:
         """All N+1 node times, including t_0 = 0."""
         return np.arange(self.count + 1) * self.delta
-
-    def refine(self, factor: int) -> "SamplingGrid":
-        """Grid over the same horizon with `factor` sub-cells per cell."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        return SamplingGrid(self.delta / factor, self.count * factor)
 
     def coarsen(self, factor: int) -> "SamplingGrid":
         """Keep every `factor`-th node; count must divide evenly."""
@@ -87,7 +92,10 @@ def make_grid(delta: float, horizon: float) -> SamplingGrid:
         raise ValueError(f"grid step must be positive and finite, got {delta}")
     if not (horizon > 0 and np.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    count = int(round(horizon / delta))
+    ratio = horizon / delta
+    if not np.isfinite(ratio):
+        raise ValueError(f"horizon {horizon} over step {delta} gives no finite cell count")
+    count = int(round(ratio))
     if count < 1:
         raise ValueError(f"horizon {horizon} is shorter than half a step {delta}")
     return SamplingGrid(delta, count)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import phi_ratio
-from .fgn import FgnCovariance
+from .fgn import FgnCovariance, _checked_covariance
 from .grids import FouParams, Trajectory
 
 __all__ = [
@@ -72,23 +72,18 @@ class ProfileMleResult:
 
 
 class FouLikelihood:
-    """Likelihood context for one (hurst, grid) pair; the increment
-    covariance and its factorisation are built once and shared by every
-    evaluation.  Pass a prebuilt ``cov`` to share across contexts."""
+    """Likelihood context for one (hurst, grid) pair; every evaluation goes
+    through one increment covariance.  Its Toeplitz generator is cached per
+    (hurst, N), so contexts on the same (hurst, N) share it with no help from
+    the caller; ``cov`` is only for a caller that already holds a covariance
+    of this (hurst, grid)."""
 
     def __init__(self, hurst: float, grid, cov: FgnCovariance | None = None):
         if not 0.0 < hurst < 1.0:
             raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
         self.hurst = float(hurst)
         self.grid = grid
-        if cov is None:
-            cov = FgnCovariance(hurst, grid.delta, grid.count)
-        elif (cov.hurst, cov.delta, cov.size) != (hurst, grid.delta, grid.count):
-            raise ValueError(
-                "prebuilt covariance does not match (hurst, delta, count) = "
-                f"({hurst}, {grid.delta}, {grid.count})"
-            )
-        self.cov = cov
+        self.cov = _checked_covariance(hurst, grid, cov)
 
     # -- helpers ---------------------------------------------------------
 

@@ -106,6 +106,20 @@ class TestSimulate:
         assert rc == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (("--delta", "1e-320", "--horizon", "1"), "no finite cell count"),
+            (("--delta", "1e-9", "--horizon", "1"), "1000000000 cells exceeds"),
+            (("--delta", "0.1", "--count", "16777217"), "16777217 cells exceeds"),
+        ],
+    )
+    def test_oversized_grid_exits_2(self, capsys, grid, message):
+        # refused when the grid is built, before any array is allocated
+        rc, out, err = run_cli(capsys, "simulate", "--model", "fbm", *grid)
+        assert rc == 2 and out == ""
+        assert message in err
+
     @pytest.mark.parametrize("eps, message", [("5e-324", "finite"), ("1e-9", "cap of")])
     def test_hostile_epsilon_exits_2(self, capsys, eps, message):
         # an infinite or oversized sub-grid is refused before it is built
@@ -344,6 +358,17 @@ class TestExperimentCommand:
         summary = json.loads(out, parse_constant=reject)
         assert summary["normality_p_value"] is None
         assert summary["variance"] is None
+
+    @pytest.mark.parametrize(
+        "horizon, message", [("1e308", "no finite cell count"), ("1e6", "cells exceeds")]
+    )
+    def test_oversized_grid_exits_2(self, capsys, tmp_path, horizon, message):
+        # clt's step is eps^alpha = 0.005: the grid is refused when built
+        cfg = tmp_path / "clt.cfg"
+        cfg.write_text(f"experiment = clt\nreplicates = 1\ngrid.horizon = {horizon}\n")
+        rc, out, err = run_cli(capsys, "experiment", str(cfg))
+        assert rc == 2 and out == ""
+        assert "config error" in err and message in err
 
     def test_unknown_experiment_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -4,13 +4,19 @@ failure propagation with replicate context."""
 
 import dataclasses
 import json
+import struct
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fraclab import NumericFailure, conjecture_scan, experiments
 from fraclab.experiments import (
+    _PARAM_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ResultRow,
@@ -144,6 +150,28 @@ class TestRegistry:
             experiment_defaults("nope")
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_STATISTICS = st.one_of(
+    st.sampled_from(["sigma2_hat", "trace[N=8;k=0]", "pair[N=8;k=1;l=2]"]),
+    st.text(alphabet='ab ,;"\'[]=\r\n', max_size=12),
+)
+
+
+@st.composite
+def _result_rows(draw):
+    return ResultRow(
+        experiment=draw(st.sampled_from(experiment_names())),
+        replicate=draw(st.integers(0, 10**6)),
+        statistic=draw(_STATISTICS),
+        value=draw(_FINITE),
+        **{name: draw(st.none() | _FINITE) for name in _PARAM_COLUMNS},
+    )
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
 class TestCsvRoundTrip:
     def test_rows_round_trip_exactly(self, tmp_path):
         rows = [
@@ -194,6 +222,24 @@ class TestCsvRoundTrip:
     def test_format_float_round_trips(self):
         for x in (0.1, 1.0 / 3.0, 1e308, 5e-324, -0.0, 123456789.123456789):
             assert float(format_float(x)) == x
+
+    @given(rows=st.lists(_result_rows(), max_size=6))
+    @example(rows=[ResultRow("clt", 0, 'a,"b"', -0.0, epsilon=5e-324, delta=-2.2e-308)])
+    def test_round_trip_keeps_every_bit(self, rows):
+        # every float comes back with its bit pattern (so -0.0 and
+        # subnormals count), None stays None, and statistics survive
+        # commas, quotes and line breaks
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            write_csv(rows, path)
+            back = read_csv(path)
+        assert len(back) == len(rows)
+        for got, want in zip(back, rows):
+            assert (got.experiment, got.replicate, got.statistic) == (
+                want.experiment, want.replicate, want.statistic
+            )
+            for name in ("value",) + _PARAM_COLUMNS:
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
 
 
 class TestRunConfig:

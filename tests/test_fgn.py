@@ -147,6 +147,18 @@ class TestFgnCovariance:
         with pytest.raises(ValueError):
             FgnCovariance(hurst, 1.0, 8)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            FgnCovariance(0.7, delta, 8)
+
+    def test_first_row_is_built_on_first_read(self):
+        cov = FgnCovariance(0.7, 0.1, 6)
+        cov.quadratic_form(np.ones(6))  # the generator path never reads it
+        assert "first_row" not in vars(cov)
+        np.testing.assert_array_equal(cov.first_row, fgn_autocovariance(0.7, 0.1, 5))
+        assert cov.first_row is cov.first_row
+
 
 operator_cases = st.tuples(
     st.integers(1, 512),

@@ -11,6 +11,7 @@ from fraclab import (
     make_grid,
     second_order_increments,
 )
+from fraclab.grids import _MAX_CELLS
 
 
 class TestSamplingGrid:
@@ -28,6 +29,37 @@ class TestSamplingGrid:
     def test_invalid_parameters_rejected(self, delta, count):
         with pytest.raises(ValueError):
             SamplingGrid(delta=delta, count=count)
+
+    def test_coarsen_keeps_every_factor_th_node(self):
+        grid = SamplingGrid(delta=0.1, count=12)
+        for factor in (1, 2, 3, 4, 6, 12):
+            coarse = grid.coarsen(factor)
+            assert coarse == SamplingGrid(delta=0.1 * factor, count=12 // factor)
+            np.testing.assert_allclose(coarse.nodes, grid.nodes[::factor], rtol=1e-15)
+            assert coarse.horizon == pytest.approx(grid.horizon, rel=1e-15)
+
+    @pytest.mark.parametrize("factor", [0, -2, 5, 24])
+    def test_coarsen_needs_a_dividing_factor(self, factor):
+        with pytest.raises(ValueError, match="cannot coarsen a 12-cell grid"):
+            SamplingGrid(delta=0.1, count=12).coarsen(factor)
+
+    def test_cell_count_capped_before_allocation(self):
+        # a grid holds no arrays, so the cap is checked on the count alone
+        assert SamplingGrid(delta=1.0, count=_MAX_CELLS).count == _MAX_CELLS
+        with pytest.raises(ValueError, match=f"{_MAX_CELLS + 1} cells exceeds"):
+            SamplingGrid(delta=1.0, count=_MAX_CELLS + 1)
+
+    @pytest.mark.parametrize(
+        "delta, horizon, message",
+        [
+            (1e-320, 1.0, "no finite cell count"),
+            (0.005, 1e308, "no finite cell count"),
+            (1e-9, 1.0, "1000000000 cells exceeds"),
+        ],
+    )
+    def test_make_grid_rejects_unbuildable_counts(self, delta, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            make_grid(delta, horizon)
 
 
 class TestTrajectory:

@@ -67,6 +67,13 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="does not match"):
             FouLikelihood(0.6, grid, cov=FgnCovariance(0.6, 0.2, 29))
 
+    def test_contexts_share_the_generator_per_hurst_and_size(self):
+        # no covariance passed: the cached generator is shared across steps
+        a = FouLikelihood(0.6, SamplingGrid(delta=0.2, count=30))
+        b = FouLikelihood(0.6, SamplingGrid(delta=0.05, count=30))
+        assert a.cov is not b.cov
+        assert a.cov.cholesky is b.cov.cholesky
+
     def test_parameter_validation(self):
         # the dataclass blocks bad parameters at the wrapper level, so the
         # direct context methods carry their own checks
