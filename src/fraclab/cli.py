@@ -369,8 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify-conjecture", _cmd_verify_conjecture,
                  "trace-boundedness scan over (hurst, size)")
     sp.add_argument("--hursts", default="0.3,0.55,0.7")
-    sp.add_argument("--sizes", default="32,64,128,256")
-    sp.add_argument("--k-max", type=int, default=16)
+    sp.add_argument("--sizes", default="32,64,128,256",
+                    help="sizes N >= 2; the largest cell solves (min(N, 2 k_max + 1)"
+                         f" + k_max) N <= {traces.SOLVE_CAP} entries")
+    sp.add_argument("--k-max", type=int, default=16,
+                    help="largest shift, capped at each N; the pair table takes (k_max"
+                         f" + 1)^2 min(N, 2 k_max + 1)^2 <= {traces.PAIR_CAP} multiply-adds")
     sp.add_argument("--growth-factor", type=float, default=1.5)
 
     command("signature-check", _cmd_signature_check,

@@ -257,6 +257,13 @@ def _check_value(key: str, value) -> None:
                   "dimension"):
         if any(v < 1 for v in seq):
             raise ConfigError(f"key '{key}' must be >= 1, got {value}")
+    elif base in ("mean_abs_error", "slope", "recovery", "sd_spread"):
+        if any(not 0 < v < math.inf for v in seq):
+            raise ConfigError(f"key '{key}' must be positive and finite, got {value}")
+    elif base in ("eps_log2", "avg_eps_log2"):
+        # 2.0**v is then positive and finite
+        if any(not -1074 <= v <= 1023 for v in seq):
+            raise ConfigError(f"key '{key}' must lie in [-1074, 1023], got {value}")
 
 
 def _resolve_params(name: str, defaults: dict, raw: dict) -> dict:

@@ -3,11 +3,12 @@ fractional Gaussian noise, whose uniform boundedness in the sample size is
 conjectured, and the Wick-identity moments of the associated quadratic
 forms with a Monte Carlo cross-check.
 
-Every trace comes from one scan cell: Sigma is solved once, through the
-cached Gohberg-Semencul generator, against a single (N + k_max) x N
-Toeplitz window, and each Tr(A_k) and Tr(A_k A_l) is read from slices of
-that solution.  No Gram matrix is formed.  Monte Carlo draws come from the
-one circulant fGn engine.
+Every trace comes from one scan cell.  The first N rows of the Toeplitz
+window W[r, j] = gamma(|r - j|) are rows of Sigma, so only the prediction
+coefficients Sigma^{-1} w_q of X_{N+q} from X_0..X_{N-1} carry information,
+and Tr(A_k) sums them; a cell solves for them through the cached
+Gohberg-Semencul generator in O(k_max N) memory, forming no Gram matrix.
+Monte Carlo draws come from the one circulant fGn engine.
 
 Everything here uses unit step: by self-similarity the covariance at step
 delta is delta^{2H} times the unit-step covariance, so every A_k — and
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .fgn import FgnCovariance, unit_autocovariance
 from .grids import SeedSpec
@@ -31,15 +31,17 @@ __all__ = [
     "ConjectureCell",
     "ScanReport",
     "QMomentResult",
-    "SIZE_CAP",
+    "SOLVE_CAP",
+    "PAIR_CAP",
+    "SAMPLE_CAP",
     "conjecture_scan",
     "scan_report",
     "q_moment",
 ]
 
-#: Largest base size N a scan cell accepts: its solution is an
-#: (N + k_max) x N dense block, about 94 MB of peak memory at N = 1024.
-SIZE_CAP = 1024
+SOLVE_CAP = 2**20  # a cell's solved entries (w + k_max) N: ~100 MB peak
+PAIR_CAP = 2**32  # a cell's pair multiply-adds (k_max + 1)^2 w^2: ~2 s
+SAMPLE_CAP = 2**20  # q_moment's samples * size: ~128 bytes each
 
 
 @dataclass(frozen=True)
@@ -101,30 +103,51 @@ class ScanReport:
         }
 
 
+def _cell_width(size: int, k_max: int) -> int:
+    """w = min(N, 2 k_max + 1), once the cell passes both work bounds."""
+    if not 0 <= k_max <= size:
+        raise ValueError(f"k_max must lie in [0, {size}], got {k_max}")
+    width = min(size, 2 * k_max + 1)
+    for work, unit, name, cap in (
+        ((width + k_max) * size, "solved entries", "SOLVE_CAP", SOLVE_CAP),
+        (((k_max + 1) * width) ** 2, "pair multiply-adds", "PAIR_CAP", PAIR_CAP),
+    ):
+        if work > cap:
+            raise ValueError(
+                f"a scan cell at N={size}, k_max={k_max} needs {work} {unit}, "
+                f"above {name} = {cap}"
+            )
+    return width
+
+
 def _scan_cell(hurst: float, size: int, k_max: int) -> ConjectureCell:
     """Tr(A_k) and Tr(A_k A_l) for k, l = 0..k_max from one solve.
 
-    W[i, j] = gamma(|i - j|) is (size + k_max) x size, and its rows k..k+size
-    are C^{k,0}.  M = W Sigma^{-1} is one batched generator solve, and
-    M[k:k+size] = C^{k,0} Sigma^{-1}, so by cyclicity Tr(A_k) is its trace
-    and Tr(A_k A_l) = sum_ij M[k+i, j] M[l+j, i].
+    Rows k..k+N of W[r, j] = gamma(|r - j|) are C^{k,0}, so with M = W
+    Sigma^{-1}, Tr(A_k) = trace M[k:k+N] and Tr(A_k A_l) = sum_ij M[k+i, j]
+    M[l+j, i].  Rows r < N are rows of Sigma, so M[r] = e_r; the prediction
+    coefficients E[q] = M[N+q] give Tr(A_k) = sum_{q<k} E[q][N - k + q] for
+    k >= 1, and a term with k + l > 0 needs i, j >= N - k - l.  So one solve
+    gives rows N - w..N + k_max - 1 (w = min(N, 2 k_max + 1)), both sums run
+    over their last w columns, and the N - w rows left out add N - w to
+    Tr(A_0) and Tr(A_0^2).
     """
-    if not 0 <= k_max <= size:
-        raise ValueError(f"k_max must lie in [0, {size}], got {k_max}")
-    if size > SIZE_CAP:
-        raise ValueError(f"size {size} exceeds the scan cap {SIZE_CAP}")
+    width = _cell_width(size, k_max)
     count = k_max + 1
+    skip = size - width
     gamma = unit_autocovariance(hurst, np.arange(size + k_max))
-    window = sla.toeplitz(gamma, gamma[:size])
-    m = FgnCovariance(hurst, 1.0, size).solve(window.T).T
+    window = gamma[np.abs(np.arange(skip, size + k_max)[:, None] - np.arange(size))]
+    m = FgnCovariance(hurst, 1.0, size).solve(window.T).T[:, skip:]
     mt = np.ascontiguousarray(m.T)
-    traces = np.array([np.trace(m[k : k + size]) for k in range(count)])
+    traces = np.array([np.trace(m[k : k + width]) for k in range(count)])
     pair = np.empty((count, count))
     for k in range(count):
         for l in range(k, count):
             pair[k, l] = pair[l, k] = np.einsum(
-                "ij,ij->", m[k : k + size], mt[:, l : l + size]
+                "ij,ij->", m[k : k + width], mt[:, l : l + width]
             )
+    traces[0] += skip
+    pair[0, 0] += skip
     return ConjectureCell(
         hurst=hurst,
         size=size,
@@ -146,15 +169,14 @@ def conjecture_scan(
     reported maxima must not grow by more than ``growth_factor`` between
     consecutive sizes.  Violations are collected as flagged counterexample
     reports, never suppressed — the scan is evidence, not proof.  Sizes
-    run from 2 to ``SIZE_CAP``.
+    start at 2; the largest cell is checked against the caps first.
     """
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes or not len(hursts):
         raise ValueError("hursts and sizes must be non-empty")
     if sizes[0] < 2:
         raise ValueError(f"size must be >= 2, got {sizes[0]}")
-    if sizes[-1] > SIZE_CAP:
-        raise ValueError(f"size {sizes[-1]} exceeds the scan cap {SIZE_CAP}")
+    _cell_width(sizes[-1], min(k_max, sizes[-1]))
 
     cells = [
         _scan_cell(hurst, n, min(k_max, n)) for hurst in hursts for n in sizes
@@ -240,12 +262,17 @@ def q_moment(
     With ``samples`` >= 2, also estimates the moment from that many
     double-length unit-step fGn streams, drawn as one batch from ``seed``'s
     generator through the circulant engine.  ``samples`` = 0 (the default)
-    skips the estimate; one sample has no standard error and is rejected.
+    skips the estimate; one sample has no standard error and is rejected,
+    and so is a batch of more than ``SAMPLE_CAP`` samples * size.
     """
     if not (0 <= k <= size and 0 <= l <= size):
         raise ValueError(f"shifts must lie in [0, {size}], got ({k}, {l})")
     if samples < 0 or samples == 1:
         raise ValueError(f"samples must be 0 or >= 2, got {samples}")
+    if samples * size > SAMPLE_CAP:
+        raise ValueError(
+            f"samples * size {samples * size} is above SAMPLE_CAP = {SAMPLE_CAP}"
+        )
     cell = _scan_cell(hurst, size, max(k, l))
     tr = cell.traces
     analytic = float(tr[k] * tr[l] + tr[abs(k - l)] + cell.pair_traces[k, l])

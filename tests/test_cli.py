@@ -282,7 +282,8 @@ class TestVerifyConjecture:
         "extra, message",
         [
             (("--sizes", "8,16", "--growth-factor", "nan"), "growth_factor"),
-            (("--sizes", "8,1025"), "scan cap 1024"),
+            (("--sizes", "8,150000"), "N=150000, k_max=2"),
+            (("--sizes", "512", "--k-max", "512"), "PAIR_CAP"),
         ],
     )
     def test_invalid_scan_exits_2(self, capsys, extra, message):
@@ -369,6 +370,14 @@ class TestExperimentCommand:
         rc, out, err = run_cli(capsys, "experiment", str(cfg))
         assert rc == 2 and out == ""
         assert "config error" in err and message in err
+
+    def test_overflowing_exponent_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text("experiment = consistency-rate\nsweep.eps_log2 = 1100\n")
+        rc, out, err = run_cli(capsys, "experiment", str(cfg))
+        assert rc == 2 and out == ""
+        assert "config error" in err and "'sweep.eps_log2'" in err
+        assert "Traceback" not in err
 
     def test_unknown_experiment_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -4,6 +4,8 @@ failure propagation with replicate context."""
 
 import dataclasses
 import json
+import math
+import re
 import struct
 import tempfile
 import time
@@ -274,6 +276,33 @@ class TestRunConfig:
         )
         with pytest.raises(ConfigError, match="'tol.growth_factor' must be positive"):
             run_config(cfg)
+
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("consistency-rate", "sweep.eps_log2", "-4, 1100"),
+            ("consistency-rate", "sweep.eps_log2", "-1075"),
+            ("tfe-sweep", "sweep.avg_eps_log2", "1024"),
+            ("hurst-sweep", "tol.mean_abs_error", "0"),
+            ("calibration-convergence", "tol.slope", "inf"),
+            ("tfe-sweep", "tol.slope", "-0.15"),
+            ("tfe-sweep", "tol.recovery", "-1e-7"),
+            ("tfe-sweep", "tol.sd_spread", "nan"),
+        ],
+    )
+    def test_out_of_range_key_rejected(self, experiment, key, value):
+        # eps_log2 = 1100 used to overflow 2.0**v; a negative tol.recovery
+        # used to flip recovery_ok silently
+        rule = "lie in [-1074, 1023]" if "eps_log2" in key else "be positive and finite"
+        cfg = parse_config_text(f"experiment = {experiment}\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}' must {rule}")):
+            run_config(cfg)
+
+    def test_exponent_range_is_inclusive(self):
+        # 2.0**-1074 is the least positive double and 2.0**1023 the largest power
+        for key in ("sweep.eps_log2", "sweep.avg_eps_log2"):
+            experiments._check_value(key, (-1074, 1023))
+        assert 2.0**-1074 > 0 and math.isfinite(2.0**1023)
 
     def test_resolved_params_and_override(self):
         cfg = ExperimentConfig(

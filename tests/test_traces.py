@@ -1,8 +1,10 @@
 """Shifted-Gram trace tests: the scan cell's traces and pair traces against
-dense reconstructions of the Gram matrices, the exact identity-block and
-white-noise values, the cell's memory bound, the Wick moment identity
-re-derived through the double-window quadratic-form formula, Monte Carlo
-agreement, and the scan's flagging mechanics."""
+dense reconstructions of the Gram matrices and, above the dense range,
+against prediction coefficients from an independent Toeplitz solver; the
+exact identity-block and white-noise values, the cell's memory and work
+bounds, the Wick moment identity re-derived through the double-window
+quadratic-form formula, Monte Carlo agreement, and the scan's flagging
+mechanics."""
 
 import math
 import tracemalloc
@@ -14,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fraclab import SeedSpec, conjecture_scan, q_moment, unit_autocovariance
-from fraclab.traces import SIZE_CAP, _scan_cell, scan_report
+from fraclab.traces import PAIR_CAP, SAMPLE_CAP, SOLVE_CAP, _scan_cell, scan_report
 from oracles import dense_gram
 
 
@@ -70,22 +72,71 @@ class TestShiftGram:
             rel=1e-10,
         )
 
+    def test_large_cell_matches_prediction_coefficients(self):
+        # above the dense range: E[:, q] = Sigma^{-1} w_q from an independent
+        # Levinson solver, and the traces in closed form over the identity
+        # rows, with s = k + l and D_s(n) = sum_{p<n} E[N - s + p, p]:
+        #   Tr(A_k)     = D_k(k)                       (k >= 1; Tr(A_0) = N)
+        #   Tr(A_k A_l) = [k = l = 0] N + D_s(k) + D_s(l)
+        #                 + Tr(E[N-l:, :k] E[N-k:, :l])
+        hurst, size, k_max = 0.7, 4096, 16
+        gamma = unit_autocovariance(hurst, np.arange(size + k_max))
+        tail = gamma[size + np.arange(k_max)[None, :] - np.arange(size)[:, None]]
+        e = sla.solve_toeplitz(gamma[:size], tail)
+
+        def diag_sum(s, n):
+            return sum(e[size - s + p, p] for p in range(n))
+
+        traces = np.array([size] + [diag_sum(k, k) for k in range(1, k_max + 1)])
+        pairs = np.array(
+            [
+                [
+                    (size if k == l == 0 else 0.0)
+                    + diag_sum(k + l, k)
+                    + diag_sum(k + l, l)
+                    + np.trace(e[size - l :, :k] @ e[size - k :, :l])
+                    for l in range(k_max + 1)
+                ]
+                for k in range(k_max + 1)
+            ]
+        )
+        cell = _scan_cell(hurst, size, k_max)
+        np.testing.assert_allclose(cell.traces, traces, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(cell.pair_traces, pairs, rtol=1e-9, atol=1e-10)
+
     def test_peak_memory_bounded(self):
-        # one (N + k_max) x N solution, not k_max + 1 dense N x N blocks
-        _scan_cell(0.7, 512, 16)  # warm the generator cache
-        tracemalloc.start()
-        try:
-            _scan_cell(0.7, 512, 16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        # the solved block is (3 k_max + 1) x N doubles: no N x N array, and
+        # the peak scales with k_max N
+        for size, k_max in ((1024, 4), (4096, 4), (4096, 16)):
+            _scan_cell(0.7, size, k_max)  # warm the generator cache
+            tracemalloc.start()
+            try:
+                _scan_cell(0.7, size, k_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 8 * (3 * k_max + 1) * size
 
     def test_shift_validation(self):
         with pytest.raises(ValueError, match="k_max"):
             _scan_cell(0.7, 8, 9)
-        with pytest.raises(ValueError, match="scan cap"):
-            _scan_cell(0.7, SIZE_CAP + 1, 1)
+
+    def test_work_bounds_checked_before_solving(self):
+        # by arithmetic: (w + k_max) N is just over SOLVE_CAP at N = 21400,
+        # k_max = 16, and at N = k_max = 512 the block is within it while
+        # the pair table's (k_max + 1)^2 w^2 is far above PAIR_CAP
+        assert 49 * 21399 <= SOLVE_CAP < 49 * 21400
+        assert 1024 * 512 <= SOLVE_CAP and (513 * 512) ** 2 > PAIR_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="N=21400, k_max=16.*SOLVE_CAP"):
+                _scan_cell(0.7, 21400, 16)
+            with pytest.raises(ValueError, match="N=512, k_max=512.*PAIR_CAP"):
+                _scan_cell(0.7, 512, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 class TestQMoment:
@@ -147,6 +198,19 @@ class TestQMoment:
         with pytest.raises(ValueError, match="samples"):
             q_moment(0.7, 8, 1, 0, samples=samples)
 
+    def test_sample_budget_checked_before_drawing(self):
+        # criterion 14's 10^4 samples at N = 64 fit; one more row of 64 over
+        # the budget is refused before any draw
+        assert 10_000 * 64 <= SAMPLE_CAP < (SAMPLE_CAP // 64 + 1) * 64
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="SAMPLE_CAP"):
+                q_moment(0.7, 64, 1, 0, samples=SAMPLE_CAP // 64 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
 
 class TestConjectureScan:
     def test_small_grid_passes(self):
@@ -179,10 +243,21 @@ class TestConjectureScan:
         report = conjecture_scan([0.7], [4], k_max=16)
         assert report.cells[0].traces.shape == (5,)
 
-    def test_size_cap_enforced(self):
-        assert SIZE_CAP == 1024
-        with pytest.raises(ValueError, match="exceeds the scan cap 1024"):
-            conjecture_scan([0.7], [8, SIZE_CAP + 1], k_max=1)
+    def test_largest_cell_checked_before_scanning(self, monkeypatch):
+        # k_max = 1 caps N at SOLVE_CAP / 4; the N = 8 cell is never solved
+        def solve_nothing(*args):
+            raise AssertionError("a cell was solved before the bound check")
+
+        monkeypatch.setattr("fraclab.traces._scan_cell", solve_nothing)
+        size = SOLVE_CAP // 4 + 1
+        with pytest.raises(ValueError, match=f"N={size}, k_max=1.*SOLVE_CAP"):
+            conjecture_scan([0.7], [8, size], k_max=1)
+
+    def test_above_old_dense_range(self):
+        report = conjecture_scan([0.3, 0.7], [1024, 2048, 4096], k_max=16)
+        assert report.ok
+        for cell in report.cells:
+            assert abs(cell.trace_zero - cell.size) / cell.size < 1e-12
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
