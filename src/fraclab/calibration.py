@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .grids import (
     FouParams,
@@ -26,7 +25,7 @@ from .grids import (
     make_grid,
 )
 from .signatures import lift_level_for_hurst, lift_scalar_path, rough_pvar_distance
-from .simulate import sample_fgn
+from .simulate import _ar1, sample_fgn
 
 __all__ = [
     "phi_ratio",
@@ -91,15 +90,15 @@ def forward_map(
     x0: float, gradients: IncrementVector, theta: float, sigma: float
 ) -> Trajectory:
     """Trajectory of the model driven by the piecewise-linear path with the
-    given cell gradients, started at x0."""
+    given cell gradients, started at x0 exactly: the module's one-step map
+    run as one first-order recursion (a doubling scan, exact to roundoff)."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     delta = gradients.grid.delta
     phi = phi_ratio(theta, delta)
     decay = math.exp(-theta * delta)
     drive = sigma * delta * phi * gradients.values
-    rest, _ = lfilter([1.0], [1.0, -decay], drive, zi=np.array([decay * x0]))
-    return Trajectory(gradients.grid, np.concatenate([[float(x0)], rest]))
+    return Trajectory(gradients.grid, _ar1(decay, float(x0), drive))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .grids import NumericFailure
@@ -387,6 +386,9 @@ def _fou_spectral_integral(hurst: float, u: float) -> float:
     Raises NumericFailure unless quad's own error estimate is below
     _QUAD_RTOL of the two pieces' magnitude.
     """
+    # imported here, since scipy.integrate would add about 0.25 s to `import fraclab`
+    from scipy.integrate import quad
+
     a = 1.0 - 2.0 * hurst
     lead = _RAY ** (a + 1.0)
 

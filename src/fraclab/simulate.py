@@ -13,7 +13,9 @@ to fGn's, unit fGn summed over the sub-steps of a cell with geometric
 weights, the fractional part of :func:`sample_tfe_system`'s cell law, or
 the bivariate law of a fast value and the next cell's slow increment, from
 which :func:`sample_physical_fbm` and :func:`sample_stationary_fou` read
-the slow, fast and driver paths.  No sampler runs a sub-grid.
+the slow, fast and driver paths.  No sampler runs a sub-grid.  Chains
+linear in their past (the approximate model, both lines of the two-timescale
+system, and the calibration forward map) run one first-order recursion.
 
 Sampling is deterministic in (parameters, grid, seed): the same inputs always
 reproduce the same values bit for bit.  Replicates draw from independent
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.signal import lfilter
+from scipy import fft as sfft
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
@@ -192,9 +193,9 @@ def _pair_unit_spectrum(hurst: float, ratio: float, m: int) -> np.ndarray:
         [cross[:m], [0.5 * (cross[m] + cross[m - 1])], cross[: m - 1][::-1]]
     )
     spectrum = np.empty((m + 1, 2, 2), dtype=complex)
-    spectrum[:, 0, 0] = np.fft.rfft(np.concatenate([fast, fast[-2:0:-1]])).real
-    spectrum[:, 1, 1] = np.fft.rfft(np.concatenate([slow, slow[-2:0:-1]])).real
-    spectrum[:, 1, 0] = np.fft.rfft(cross_row)
+    spectrum[:, 0, 0] = sfft.rfft(np.concatenate([fast, fast[-2:0:-1]])).real
+    spectrum[:, 1, 1] = sfft.rfft(np.concatenate([slow, slow[-2:0:-1]])).real
+    spectrum[:, 1, 0] = sfft.rfft(cross_row)
     spectrum[:, 0, 1] = spectrum[:, 1, 0].conj()
     return spectrum / (2 * m)
 
@@ -225,7 +226,7 @@ def _circulant_roots(hurst: float, law: _Law, m: int) -> np.ndarray:
         else:
             row, name = _slow_unit_autocovariance(hurst, law, m), f"eps/delta={law}"
         circ = np.concatenate([row, row[-2:0:-1]])  # length 2m
-        lam = np.fft.rfft(circ).real / (2 * m)
+        lam = sfft.rfft(circ).real / (2 * m)
         floor = _EMBEDDING_FLOOR * lam.max()
     if not lam.min() >= floor:  # also true for NaN
         raise NumericFailure(
@@ -248,7 +249,7 @@ def _embedding_half_size(hurst: float, law: _Law, n: int) -> int:
     the slow component when eps/delta is large against n.  The first n
     samples of any longer stream are still exact.  NumericFailure once m,
     clamped at the 5-smooth _MAX_GROWN_HALF_SIZE, reaches it."""
-    m = next_fast_len(n, real=True)
+    m = sfft.next_fast_len(n, real=True)
     while True:
         try:
             _circulant_roots(hurst, law, m)
@@ -256,7 +257,7 @@ def _embedding_half_size(hurst: float, law: _Law, n: int) -> int:
         except NumericFailure:
             if m >= _MAX_GROWN_HALF_SIZE:
                 raise
-            m = min(next_fast_len(2 * m, real=True), _MAX_GROWN_HALF_SIZE)
+            m = min(sfft.next_fast_len(2 * m, real=True), _MAX_GROWN_HALF_SIZE)
 
 
 def _unit_stream(
@@ -304,7 +305,7 @@ def _unit_stream(
     else:
         np.multiply(z[..., : m + 1], roots, out=half.real)
         np.multiply(z[..., m + 1 :], roots[1:m], out=half.imag[..., 1:m])
-    return np.fft.irfft(half, 2 * m, norm="forward")[..., :n]
+    return sfft.irfft(half, 2 * m, norm="forward")[..., :n]
 
 
 def sample_fgn(
@@ -320,6 +321,19 @@ def sample_fgn(
     rng = seed.rng(stream)
     values = grid.delta**hurst * _unit_stream(rng, hurst, grid.count)
     return IncrementVector(grid, values)
+
+
+def _ar1(decay: float, start: float, drive: np.ndarray) -> np.ndarray:
+    """y_0 = start, y_k = decay y_(k-1) + drive_(k-1): a doubling scan whose
+    pass at shift s adds decay^s y_(k-s), so y_k then sums its last 2s terms;
+    it stops once s reaches len(y) or decay^s underflows to 0."""
+    y = np.empty(len(drive) + 1)
+    y[0], y[1:] = start, drive
+    s = 1
+    while s < y.size and (power := decay**s) != 0.0:
+        y[s:] += power * y[:-s]
+        s *= 2
+    return y
 
 
 def _substeps_per_cell(
@@ -408,11 +422,7 @@ def sample_approximate_model(
     extended = SamplingGrid(delta=delta, count=burn + grid.count)
     db = sample_fgn(hurst, extended, seed, stream=stream).values
 
-    decay = math.exp(-u)
-    rest, _ = lfilter(
-        [1.0], [1.0, -decay], sigma * phi * db, zi=np.array([decay * x0])
-    )
-    path = np.concatenate([[x0], rest])
+    path = _ar1(math.exp(-u), x0, sigma * phi * db)
     return Trajectory(grid, path[burn:].copy())
 
 
@@ -519,8 +529,8 @@ def _tfe_cell_law(
     b = math.exp(-rate)
     s = math.sqrt(-math.expm1(-2.0 * rate))
     a = 1.0 - th + 0.5 * th * th
-    # t_{m-1-k}, k = 0..m, by the reversed filter t_{i-1} = a^(m-1-i) + b t_i
-    t = lfilter([1.0], [1.0, -b], np.concatenate(([0.0], a ** np.arange(m))))[::-1]
+    # t_{m-1-k}, k = 0..m, by the reversed recursion t_{i-1} = a^(m-1-i) + b t_i
+    t = _ar1(b, 0.0, a ** np.arange(m))[::-1]
     v = s * b ** np.arange(m - 1, -1, -1.0)
     u = s * (a ** np.arange(m - 1, -1, -1.0) + (1.0 - th + b) * t[1:])
     l11 = math.sqrt(v @ v)
@@ -570,7 +580,8 @@ def sample_tfe_system(
     the fractional noise sqrt(eta) (1 - theta h/2) h^H g_j added per
     sub-step, g unit fGn.  Its node law is a linear recursion per cell
     (``_tfe_cell_law``) whose fractional part is the :class:`_CellSum` of g,
-    one circulant stream of one value per cell.  ``y0=None`` draws the
+    one circulant stream of one value per cell; each line is then one
+    first-order recursion across cells from y0 or x0.  ``y0=None`` draws the
     stationary start N(0, 1); the fast generator then draws 2 * count
     normals.  At eta = 0 no fractional stream is generated.
     """
@@ -592,17 +603,13 @@ def sample_tfe_system(
     if y0 is None:
         y0 = float(fast_rng.standard_normal())
     z = fast_rng.standard_normal((2, grid.count))
-    # The start value leads each filter's input, so lfilter runs from a zero
-    # state and returns it as the first node.
-    y = lfilter([1.0], [1.0, -b_cell], np.concatenate(([y0], l11 * z[0])))
-    drive = np.empty(grid.count + 1)
-    drive[0] = x0
-    drive[1:] = (0.5 * h) * (p * y[:-1] + l21 * z[0] + l22 * z[1])
+    y = _ar1(b_cell, y0, l11 * z[0])
+    drive = (0.5 * h) * (p * y[:-1] + l21 * z[0] + l22 * z[1])
     if eta > 0.0:
         driver_rng = seed.rng(stream + STREAM_DRIVER)
         noise = _unit_stream(driver_rng, hurst, grid.count, _CellSum(a, m))
-        drive[1:] += (math.sqrt(eta) * (1.0 - 0.5 * th) * h**hurst) * noise
-    x = lfilter([1.0], [1.0, -a_cell], drive)
+        drive += (math.sqrt(eta) * (1.0 - 0.5 * th) * h**hurst) * noise
+    x = _ar1(a_cell, x0, drive)
 
     return TfeSystemSample(
         theta=theta,

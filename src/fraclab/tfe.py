@@ -67,8 +67,9 @@ def tfe_estimate(data: Trajectory, instance: TfeInstance) -> float:
     the grid linspace(lo, hi, 64) picks the basin, then safeguarded Newton on
     the closed-form L' refines it inside its grid neighbours' bracket,
     bisecting when a step leaves the bracket or L'' <= 0.  Returns the
-    lowest-loss point evaluated, never above the grid minimum, so a minimum
-    at a bound is that bound exactly.  NumericFailure if L is flat."""
+    converged iterate, not the lowest loss seen (losses tie to eps L near the
+    minimum): the root of L' to roundoff, or exactly the bound that L rises
+    from, onto which the bracket collapses.  NumericFailure if L is flat."""
     lo, hi = max(instance.bounds[0], 0.0), instance.bounds[1]
     if not hi > lo:
         raise ValueError(f"bounds must intersect [0, inf), got {instance.bounds}")
@@ -88,13 +89,10 @@ def tfe_estimate(data: Trajectory, instance: TfeInstance) -> float:
         )
     i = int(np.argmin(losses))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)]
-    theta, best, best_loss = grid[i], grid[i], losses[i]
+    theta = grid[i]
     for _ in range(_MAX_STEPS):
         fitted = x0 * np.exp(-theta * t)
         r = x - fitted
-        loss = float(np.sum(r**2))  # as tfe_loss computes it
-        if loss < best_loss:
-            best, best_loss = theta, loss
         dr = t * fitted  # dr/dtheta; d2r/dtheta2 = -t dr
         slope, curv = r @ dr, dr @ (dr - t * r)  # L'/2, L''/2
         if slope == 0.0:
@@ -102,10 +100,10 @@ def tfe_estimate(data: Trajectory, instance: TfeInstance) -> float:
         a, b = (a, theta) if slope > 0.0 else (theta, b)
         newton = curv > 0.0 and a <= theta - slope / curv <= b
         step = theta - slope / curv if newton else 0.5 * (a + b)
-        if abs(step - theta) <= 1e-12 * max(1.0, theta):
+        theta, previous = step, theta
+        if abs(theta - previous) <= 1e-12 * max(1.0, previous):
             break
-        theta = step
-    return float(best)
+    return float(theta)
 
 
 def sup_node_error(sample: TfeSystemSample) -> float:

@@ -123,6 +123,43 @@ def fou_integral_hyp1f2(hurst: float, x: float) -> float:
         return float(mpmath.gamma(2 * h + 1) / 2 * (mpmath.sinh(y) - series))
 
 
+def ar1_mpmath(decay: float, start: float, drive) -> np.ndarray:
+    """y_0 = start, y_k = decay y_(k-1) + drive_(k-1), run term by term at
+    40 digits on the exact binary inputs and rounded once at the end."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        d, y = mpmath.mpf(decay), mpmath.mpf(start)
+        out = [y]
+        for u in drive:
+            y = d * y + mpmath.mpf(float(u))
+            out.append(y)
+        return np.array([float(v) for v in out])
+
+
+def tfe_slope_root(data, guess: float) -> float:
+    """A root, found from ``guess``, of the tfe loss's derivative
+    L'(theta) = -2 x_0 sum_k (x_k - x_0 e^(-theta t_k)) t_k e^(-theta t_k),
+    without its constant factor: mpmath findroot at 40 digits on the exact
+    binary data."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x0 = mpmath.mpf(float(data.values[0]))
+        pairs = [
+            (mpmath.mpf(float(x)), mpmath.mpf(float(t)))
+            for x, t in zip(data.values[1:], data.grid.nodes[1:])
+        ]
+
+        def slope(theta):
+            return mpmath.fsum(
+                (x - x0 * mpmath.exp(-theta * t)) * t * mpmath.exp(-theta * t)
+                for x, t in pairs
+            )
+
+        return float(mpmath.findroot(slope, mpmath.mpf(guess)))
+
+
 def exhaustive_p_variation(values: np.ndarray, p: float) -> float:
     """p-variation by enumerating every node partition (2^(N-1) subsets)."""
     z = np.asarray(values, dtype=float)

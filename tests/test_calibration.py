@@ -1,11 +1,14 @@
 """Calibration-map tests: closed-form spot checks, exact round trips between
-the forward solution map and the inverse calibration, the theta -> 0 limit,
-and the dyadic convergence diagnostic."""
+the forward solution map and the inverse calibration (also as a property
+over scales, steps and theta = 0), the theta -> 0 limit, and the dyadic
+convergence diagnostic."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraclab import (
     FouParams,
@@ -143,6 +146,27 @@ class TestForwardMap:
         c = inverse_calibration(x, theta, 0.9)
         rebuilt = forward_map(float(x.values[0]), c, theta, 0.9)
         np.testing.assert_allclose(rebuilt.values, x.values, rtol=1e-11, atol=1e-12)
+
+    @given(
+        x0=st.floats(-100.0, 100.0),
+        theta=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        sigma=st.floats(1e-2, 1e2),
+        delta=st.floats(1e-4, 1.0),
+        count=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_property(self, x0, theta, sigma, delta, count, seed):
+        # inverse_calibration undoes forward_map to roundoff: each gradient
+        # is a difference of two path values over sigma delta phi, so its
+        # error scale is eps times the path's size over that step
+        grid = SamplingGrid(delta=delta, count=count)
+        c = IncrementVector(grid, np.random.default_rng(seed).standard_normal(count))
+        x = forward_map(x0, c, theta, sigma)
+        assert x.values[0] == x0
+        back = inverse_calibration(x, theta, sigma).values
+        step = sigma * delta * phi_ratio(theta, delta)
+        bound = 32 * np.finfo(float).eps * (np.abs(x.values).max() / step + np.abs(c.values))
+        assert np.all(np.abs(back - c.values) <= bound)
 
 
 class TestConvergenceDiagnostic:

@@ -2,15 +2,21 @@
 
 Covers every subcommand, global-flag placement on either side of the
 subcommand name, trajectory-file validation, the simulate -> fit pipeline,
-and the 0/2/3 exit-code contract."""
+the 0/2/3 exit-code contract, and, in a fresh interpreter, which scipy
+subpackages ``import fraclab`` loads."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fraclab
 from fraclab.calibration import inverse_calibration
 from fraclab.cli import main
 from fraclab.grids import SamplingGrid, Trajectory
@@ -436,3 +442,16 @@ class TestExitCodes:
         rc, _, err = run_cli(capsys, "tfe", "--data", str(path))
         assert rc == 3
         assert "numeric failure" in err and "flat fitting loss" in err
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # every command pays for `import fraclab`: scipy.fft and scipy.special
+    # only, while clt's summary and the fOU quadrature import theirs on use
+    env = dict(os.environ, PYTHONPATH=str(Path(fraclab.__file__).parents[1]))
+    heavy = ["scipy.signal", "scipy.stats", "scipy.integrate", "scipy.interpolate",
+             "scipy.optimize"]
+    script = f"import sys, fraclab; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -218,6 +218,22 @@ class TestGeneratorOperator:
             rtol=1e-12,
         )
 
+    @given(operator_cases)
+    def test_step_scaling_holds_to_a_few_ulp(self, case):
+        # Sigma_delta = delta^(2H) Sigma_1, and both read the one cached
+        # unit-step generator: solves (vector or matrix) and quadratic forms
+        # differ from the scaled unit-step ones only in how the scale rounds
+        cov, rng = _case(case)
+        unit = FgnCovariance(cov.hurst, 1.0, cov.size)
+        scale = cov.delta ** (-2 * cov.hurst)
+        ulps = 4 * np.finfo(float).eps
+        for rhs in (rng.standard_normal(cov.size), rng.standard_normal((cov.size, 3))):
+            want = scale * unit.solve(rhs)
+            assert np.all(np.abs(cov.solve(rhs) - want) <= ulps * np.abs(want))
+        u = rng.standard_normal(cov.size)
+        want = scale * unit.quadratic_form(u)
+        assert abs(cov.quadratic_form(u) - want) <= ulps * want
+
     @pytest.mark.parametrize("size", [1, 2, 3, 64, 2048, 2049])
     def test_inverse_spectral_norm_matches_eigvalsh(self, size):
         import scipy.linalg as sla

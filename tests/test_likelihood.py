@@ -1,12 +1,15 @@
 """Quasi-likelihood tests: a closed-form single-observation value, the exact
 relation to the full Gaussian log density, finite-difference checks of the
 analytic scores, the small-step expansion limits, and the profile estimator's
-stationarity, optimality, equivariance and recovery properties."""
+stationarity, optimality (also against a brute-force argmax of the profiled
+likelihood), equivariance and recovery properties."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraclab import (
     FgnCovariance,
@@ -219,6 +222,34 @@ class TestProfileMle:
         for theta in np.linspace(0.0, 5.0, 21):
             for sigma in np.linspace(0.5, 2.0, 16):
                 assert fit.loglik >= ctx.log_likelihood(traj, theta, sigma) - 1e-9
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        hurst=st.floats(0.2, 0.9),
+        theta=st.floats(0.0, 3.0),
+        delta=st.floats(0.01, 0.2),
+        count=st.integers(20, 200),
+        hi=st.floats(0.5, 10.0),
+    )
+    def test_closed_form_matches_brute_force_argmax(
+        self, seed, hurst, theta, delta, count, hi
+    ):
+        # the profiled likelihood on a dense theta grid, sigma^2 profiled
+        # point by point: the closed form is at least its best value and
+        # lies within one grid step of its argmax (the profile is unimodal)
+        grid = SamplingGrid(delta=delta, count=count)
+        params = FouParams(theta=theta, sigma=1.0, hurst=hurst)
+        traj = sample_approximate_model(params, grid, SeedSpec(seed), initial=0.0)
+        ctx = FouLikelihood(hurst, grid)
+        fit = ctx.profile_mle(traj, theta_bounds=(0.0, hi))
+        thetas = np.linspace(0.0, hi, 1001)
+        profile = [
+            ctx.log_likelihood(traj, th, math.sqrt(ctx.profile_sigma2(traj, th)))
+            for th in thetas
+        ]
+        best = int(np.argmax(profile))
+        assert fit.loglik >= profile[best] - 1e-12 * abs(profile[best])
+        assert abs(fit.theta_hat - thetas[best]) <= thetas[1]
 
     def test_scale_equivariance(self):
         # doubling the data doubles sigma_hat and leaves theta_hat alone

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+import scipy.fft
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
+from scipy.signal import lfilter
 from scipy.special import gamma as gamma_fn
 
 from fraclab import (
@@ -36,6 +38,7 @@ from fraclab import (
 from fraclab import fgn, simulate
 from fraclab.grids import STREAM_BROWNIAN, STREAM_DRIVER
 from oracles import (
+    ar1_mpmath,
     fou_autocovariance_hyp1f2,
     fou_integral_hyp1f2,
     naive_circulant_fgn,
@@ -110,9 +113,9 @@ class TestSampleFgn:
 
             return wrapped
 
-        monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft, len))
+        monkeypatch.setattr(scipy.fft, "rfft", recording(scipy.fft.rfft, len))
         monkeypatch.setattr(
-            np.fft, "irfft", recording(np.fft.irfft, lambda a: 2 * (len(a) - 1))
+            scipy.fft, "irfft", recording(scipy.fft.irfft, lambda a: 2 * (len(a) - 1))
         )
         for count in (1, 7, 1025, 5551, 524352):
             simulate._circulant_roots.cache_clear()
@@ -288,6 +291,41 @@ class TestApproximateModel:
         theta = 19.0 / (cap * grid.delta)
         path = sample_approximate_model(FouParams(theta, 1.0, 0.5), grid, SeedSpec(0))
         assert path.values.shape == (11,)
+
+
+class TestAr1:
+    """The first-order recursion every sampler and the forward map run."""
+
+    @pytest.mark.parametrize("decay", [0.0, 5e-324, math.exp(-41.0), 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("length", [1, 2, 1000, 10**5])
+    def test_matches_lfilter(self, decay, length):
+        # the doubling scan against the sequential filter, relative to the
+        # path's running RMS: both round differently, neither loses digits
+        rng = np.random.default_rng(length)
+        start, drive = rng.standard_normal(), rng.standard_normal(length)
+        got = simulate._ar1(decay, start, drive)
+        want = lfilter([1.0], [1.0, -decay], np.concatenate(([start], drive)))
+        assert got[0] == start
+        running_rms = np.sqrt(np.cumsum(want**2) / np.arange(1, length + 2))
+        assert np.max(np.abs(got - want) / running_rms) <= 1e-13
+        if decay == 0.0:
+            np.testing.assert_array_equal(got[1:], drive)
+
+    @pytest.mark.parametrize("decay", [0.5, 0.999, 1.0])
+    def test_scan_and_lfilter_match_mpmath(self, decay):
+        # both within a few eps of the running RMS of the exact recursion
+        rng = np.random.default_rng(17)
+        start, drive = rng.standard_normal(), rng.standard_normal(2000)
+        exact = ar1_mpmath(decay, start, drive)
+        running_rms = np.sqrt(np.cumsum(exact**2) / np.arange(1, drive.size + 2))
+        for got in (
+            simulate._ar1(decay, start, drive),
+            lfilter([1.0], [1.0, -decay], np.concatenate(([start], drive))),
+        ):
+            assert np.max(np.abs(got - exact) / running_rms) <= 32 * np.finfo(float).eps
+
+    def test_empty_drive_is_the_start(self):
+        np.testing.assert_array_equal(simulate._ar1(0.5, 2.5, np.empty(0)), [2.5])
 
 
 class TestStationaryFou:

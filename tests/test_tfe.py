@@ -1,7 +1,8 @@
 """Trajectory-fitting tests: the closed-form averaged path, hand values and
 minima of the fitting loss, noiseless and noisy drift recovery, agreement
-with a golden-section search on the same grid, bounded memory, failure on
-unidentifiable data, and the strong-averaging diagnostic."""
+with a golden-section search on the same grid, the root of L' to roundoff,
+bounded memory, failure on unidentifiable data, and the strong-averaging
+diagnostic."""
 
 import tracemalloc
 
@@ -23,6 +24,7 @@ from fraclab import (
     tfe_loss,
 )
 from fraclab.optimize import golden_section_minimize
+from oracles import tfe_slope_root
 
 
 class TestAveragedTrajectory:
@@ -128,6 +130,21 @@ class TestTfeEstimate:
         assert max(lo, 0.0) <= got <= hi
         assert abs(got - ref) <= 1e-8 + blur
         assert tfe_loss(got, data) <= ref_loss * (1 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interior_minimum_is_the_root_of_the_slope(self, seed):
+        # losses tie to within eps L over ~1e-8 of the minimiser, so the fit
+        # must return the converged root of L', stable under a 1e-15 relative
+        # perturbation of the data, not whichever iterate rounded lowest
+        grid = SamplingGrid(delta=0.1, count=100)
+        clean = averaged_trajectory(1.0, 1.0, grid).values
+        rng = np.random.default_rng(seed)
+        values = clean + np.concatenate([[0.0], 0.05 * rng.standard_normal(100)])
+        instance = TfeInstance(theta=1.0, x0=1.0, bounds=(0.0, 5.0))
+        got = tfe_estimate(Trajectory(grid, values), instance)
+        assert abs(got - tfe_slope_root(Trajectory(grid, values), got)) <= 1e-12
+        nudged = values * (1.0 + 1e-15 * rng.choice([-1.0, 1.0], values.size))
+        assert abs(tfe_estimate(Trajectory(grid, nudged), instance) - got) <= 1e-12
 
     def test_rising_data_returns_the_lower_bound(self):
         # the loss is least at a negative drift, so the fit stops at 0
