@@ -88,6 +88,7 @@ from .signatures import (
     rough_pvar_distance,
     segment_signature,
     shuffle_residual,
+    shuffle_residuals,
     shuffles,
     tensor_multiply,
     tensor_unit,
@@ -187,6 +188,7 @@ __all__ = [
     "second_order_increments",
     "segment_signature",
     "shuffle_residual",
+    "shuffle_residuals",
     "shuffles",
     "sigma2_hat",
     "stationary_fou_variance",

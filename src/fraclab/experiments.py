@@ -33,7 +33,7 @@ from .grids import (
     make_grid,
 )
 from .likelihood import FouLikelihood
-from .signatures import pwl_signature, shuffle_residual, tensor_multiply
+from .signatures import pwl_signature, shuffle_residuals, tensor_multiply
 from .simulate import (
     sample_approximate_model,
     sample_slow_component,
@@ -826,13 +826,6 @@ _SIGNATURE_DEFAULTS = {
 }
 
 
-def _all_words(dim: int, max_len: int):
-    from itertools import product
-
-    for length in range(1, max_len + 1):
-        yield from product(range(dim), repeat=length)
-
-
 def _tensor_rel_gap(a, b) -> float:
     scale = max(1.0, max(float(np.max(np.abs(arr))) for arr in b.data))
     gap = max(
@@ -856,13 +849,7 @@ def _rep_signature_check(params: dict, seed: SeedSpec) -> list[ResultRow]:
     chen = _tensor_rel_gap(tensor_multiply(left, right), sig)
 
     scale = max(1.0, max(float(np.max(np.abs(arr))) for arr in sig.data))
-    shuffle = 0.0
-    words = list(_all_words(dim, level - 1))
-    for w1 in words:
-        for w2 in words:
-            if len(w1) + len(w2) > level:
-                continue
-            shuffle = max(shuffle, abs(shuffle_residual(sig, w1, w2)) / scale)
+    shuffle = float(np.max(shuffle_residuals(sig) / scale))
 
     common = dict(experiment="signature-check", replicate=seed.replicate)
     return [

@@ -135,6 +135,13 @@ class _Generator(NamedTuple):
 # iteration cap, past which Durbin's recursion decides
 _CG_TOL = 1e-15
 _CG_MAX_ITER = 200
+# Below this H, Durbin's recursion builds the generator without trying CG:
+# there 1/lambda_min amplifies the rounding of CG's FFT products.  Relative
+# error of x at N = 4096 against a residual-refined Levinson solve, CG /
+# Durbin: 5.0e-11 / 5.9e-13 at H = 0.001, 2.4e-12 / 7.3e-13 at H = 0.01,
+# 2.5e-13 / 3.5e-13 at H = 0.05.  At H = 0.001, N = 16384 CG is also the
+# slower, 955 ms against 400 ms.
+_CG_MIN_HURST = 0.05
 
 
 def _cg_first_column(row: np.ndarray, fft_len: int) -> np.ndarray | None:
@@ -175,10 +182,11 @@ def _cg_first_column(row: np.ndarray, fft_len: int) -> np.ndarray | None:
 def _unit_generator(hurst: float, size: int) -> _Generator:
     """The read-only generator at unit step: Sigma_delta = delta^(2H)
     Sigma_1, so every step shares one entry and only scales results.
-    x = Sigma_1^{-1} e_1 by CG in O(N log N), by Durbin where CG gives up."""
+    x = Sigma_1^{-1} e_1 by CG in O(N log N), by Durbin where CG gives up
+    and below H = _CG_MIN_HURST."""
     row = unit_autocovariance(hurst, np.arange(size))
     fft_len = sfft.next_fast_len(2 * size - 1, real=True)
-    x = _cg_first_column(row, fft_len)
+    x = _cg_first_column(row, fft_len) if hurst >= _CG_MIN_HURST else None
     if x is None:
         x, order = _durbin(row)
     if x is None:

@@ -6,12 +6,28 @@ Signatures of a path in R^d live in the truncated algebra
 1 + V + V^2 + V^3; a straight segment with increment v has the exponential
 signature (1, v, v x v / 2, v x v x v / 6), and signatures of concatenated
 paths multiply.
+
+`pwl_signature` multiplies the segment exponentials b[j] by one prefix scan
+per level instead of one tensor product per segment.  With S_i[j] the
+level-i signature of the first j + 1 segments (S_i[-1] = 0),
+
+    S_m[j] = S_m[j - 1] + (b_m[j] + sum_{i=1}^{m-1} S_i[j - 1] x b_{m-i}[j]),
+
+the products added in increasing i and S_m formed by `np.cumsum`, a
+sequential accumulate.  Signatures are group-like (level 0 is exactly 1), so
+this is `tensor_multiply`'s own order of operations, (b_m + sum a_i x b_{m-i})
++ a_m, and the result is bit-identical to multiplying segment by segment, up
+to the sign of exact zeros.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +39,7 @@ __all__ = [
     "pwl_signature",
     "shuffles",
     "shuffle_residual",
+    "shuffle_residuals",
     "p_variation_norm",
     "ScalarRoughLift",
     "lift_level_for_hurst",
@@ -33,11 +50,25 @@ __all__ = [
 
 _MAX_LEVEL = 3
 _DP_BLOCK = 32  # columns per block of the p-variation program: O(32 N) memory
+_SCAN_ENTRIES = 2**16  # entries per level in a block of the signature scan, whatever N
 
 
 def _check_level(level: int) -> None:
     if not 1 <= level <= _MAX_LEVEL:
         raise ValueError(f"level must be in 1..{_MAX_LEVEL}, got {level}")
+
+
+def _word_index(word: tuple, dim: int, level: int) -> int:
+    """Row-major index of the word among the words of its length; raises
+    unless it has at most `level` integer letters in 0..dim-1."""
+    if len(word) > level:
+        raise ValueError(f"word {word} exceeds truncation level {level}")
+    index = 0
+    for w in word:
+        if not (isinstance(w, numbers.Integral) and 0 <= w < dim):
+            raise ValueError(f"word {word} must have integer letters in 0..{dim - 1}")
+        index = index * dim + int(w)
+    return index
 
 
 @dataclass(frozen=True)
@@ -74,14 +105,10 @@ class TruncatedTensor:
 
     def coordinate(self, word: tuple) -> float:
         """Coefficient of the (possibly empty) word of letters in 0..dim-1."""
-        m = len(word)
-        if m > self.level:
-            raise ValueError(f"word {word} exceeds truncation level {self.level}")
-        if any(not 0 <= w < self.dim for w in word):
-            raise ValueError(f"word {word} has letters outside 0..{self.dim - 1}")
-        if m == 0:
+        index = _word_index(word, self.dim, self.level)
+        if not word:
             return float(self.data[0])
-        return float(self.data[m][word])
+        return float(self.data[len(word)].flat[index])
 
 
 def tensor_unit(dim: int, level: int) -> TruncatedTensor:
@@ -111,6 +138,30 @@ def tensor_multiply(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(a.dim, a.level, tuple(out))
 
 
+def _row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row outer product of two stacks: out[j] = a[j] x b[j]."""
+    return a.reshape(a.shape + (1,) * (b.ndim - 1)) * b.reshape(
+        b.shape[:1] + (1,) * (a.ndim - 1) + b.shape[1:]
+    )
+
+
+def _exponentials(steps: np.ndarray, level: int) -> list:
+    """Levels 1..level of the exponential of each row v of `steps`:
+    v^(x m) / m!, stacked along a leading segment axis."""
+    comps, power = [], steps
+    for m in range(1, level + 1):
+        if m > 1:
+            power = _row_outer(power, steps)
+        comps.append(power / math.factorial(m))
+    return comps
+
+
+def _finite_tensor(dim: int, level: int, comps: list) -> TruncatedTensor:
+    if not all(np.isfinite(c).all() for c in comps):
+        raise ValueError("signature overflows float64: the increments are too large")
+    return TruncatedTensor(dim, level, (1.0, *comps))
+
+
 def segment_signature(increment: np.ndarray, level: int) -> TruncatedTensor:
     """Signature of a straight segment: the tensor exponential of its
     increment, level-m component increment^(x m) / m!."""
@@ -118,17 +169,16 @@ def segment_signature(increment: np.ndarray, level: int) -> TruncatedTensor:
     v = np.atleast_1d(np.asarray(increment, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"increment must be a vector, got shape {v.shape}")
-    comps: list = [1.0]
-    power = 1.0
-    for m in range(1, level + 1):
-        power = np.multiply.outer(power, v) if m > 1 else v.copy()
-        comps.append(power / math.factorial(m))
-    return TruncatedTensor(v.shape[0], level, tuple(comps))
+    if not np.isfinite(v).all():
+        raise ValueError("increment must be finite")
+    return _finite_tensor(v.shape[0], level, [c[0] for c in _exponentials(v[None], level)])
 
 
 def pwl_signature(samples: np.ndarray, level: int, start: int = 0, stop: int | None = None) -> TruncatedTensor:
     """Signature of the piecewise-linear path through `samples` (rows are
-    points in R^d) over the node range [start, stop]."""
+    points in R^d) over the node range [start, stop], by one prefix scan per
+    level (module docstring)."""
+    _check_level(level)
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -137,10 +187,29 @@ def pwl_signature(samples: np.ndarray, level: int, start: int = 0, stop: int | N
     stop = pts.shape[0] - 1 if stop is None else stop
     if not 0 <= start <= stop <= pts.shape[0] - 1:
         raise ValueError(f"bad node range [{start}, {stop}]")
-    sig = tensor_unit(pts.shape[1], level)
-    for j in range(start, stop):
-        sig = tensor_multiply(sig, segment_signature(pts[j + 1] - pts[j], level))
-    return sig
+    nodes = pts[start : stop + 1]
+    if not np.isfinite(nodes).all():
+        raise ValueError(f"samples must be finite over the node range [{start}, {stop}]")
+    if start == stop:
+        return tensor_unit(pts.shape[1], level)
+    steps = np.diff(nodes, axis=0)
+    block = max(1, _SCAN_ENTRIES // steps.shape[1] ** level)
+    # prefix[i - 1][j]: level i over the segments up to row j of the block;
+    # carry: its last rows from the blocks before
+    prefix, carry = [None] * level, None
+    for lo in range(0, steps.shape[0], block):
+        b = _exponentials(steps[lo : lo + block], level)
+        for m in range(1, level + 1):
+            terms = b[m - 1].copy()
+            for i in range(1, m):
+                if carry is not None:
+                    terms[0] += np.multiply.outer(carry[i - 1], b[m - i - 1][0])
+                terms[1:] += _row_outer(prefix[i - 1][:-1], b[m - i - 1][1:])
+            if carry is not None:
+                terms[0] += carry[m - 1]
+            prefix[m - 1] = np.cumsum(terms, axis=0)
+        carry = [s[-1].copy() for s in prefix]
+    return _finite_tensor(pts.shape[1], level, carry)
 
 
 def shuffles(w1: tuple, w2: tuple):
@@ -158,15 +227,77 @@ def shuffles(w1: tuple, w2: tuple):
         yield (w2[0],) + rest
 
 
+class _ShuffleTable(NamedTuple):
+    """Every word pair (w1, w2) with |w1| + |w2| <= level, as indices into
+    the flat vector (Z^(), level 1, ..., level `level` row-major, 0.0).
+    ``left``/``right`` index Z^w1/Z^w2; row k of ``shuffles`` indexes the
+    shuffles of pair k in the order `shuffles` yields them, padded with the
+    index of the trailing 0.0.  The pairs with |w1| = p and |w2| = q take
+    the rows from ``blocks[p, q]`` on, w1 major, words row-major."""
+
+    left: np.ndarray
+    right: np.ndarray
+    shuffles: np.ndarray
+    blocks: dict
+
+
+@functools.lru_cache(maxsize=8)
+def _shuffle_table(dim: int, level: int) -> _ShuffleTable:
+    offset = np.cumsum([0] + [dim**m for m in range(level + 1)])
+    width = math.comb(level, level // 2)  # the most shuffles of one pair
+    left, right, cols, blocks, rows = [], [], [], {}, 0
+    for p in range(level + 1):
+        for q in range(level + 1 - p):
+            blocks[p, q] = rows
+            words = [
+                np.array(list(itertools.product(range(dim), repeat=k)), dtype=np.intp).reshape(dim**k, k)
+                for k in (p, q)
+            ]
+            pairs = np.hstack((
+                np.repeat(words[0], dim**q, axis=0), np.tile(words[1], (dim**p, 1))
+            ))
+            place = dim ** np.arange(p + q - 1, -1, -1)
+            left.append(np.repeat(offset[p] + np.arange(dim**p), dim**q))
+            right.append(np.tile(offset[q] + np.arange(dim**q), dim**p))
+            # shuffle the letters' positions: the order depends on p, q only
+            block = np.full((pairs.shape[0], width), offset[level + 1])
+            for k, perm in enumerate(shuffles(tuple(range(p)), tuple(range(p, p + q)))):
+                block[:, k] = offset[p + q] + pairs[:, list(perm)] @ place
+            cols.append(block)
+            rows += pairs.shape[0]
+    table = _ShuffleTable(np.concatenate(left), np.concatenate(right), np.vstack(cols), blocks)
+    for arr in table[:3]:
+        arr.flags.writeable = False
+    return table
+
+
+def _residuals(sig: TruncatedTensor, rows) -> np.ndarray:
+    """|Z^w1 Z^w2 - sum over shuffles Z^w| for the table rows `rows`, the
+    shuffles added left to right as Python's ``sum`` would."""
+    table = _shuffle_table(sig.dim, sig.level)
+    flat = np.concatenate(([sig.data[0]], *(c.ravel() for c in sig.data[1:]), [0.0]))
+    cols = table.shuffles[rows]
+    total = flat[cols[:, 0]]
+    for k in range(1, cols.shape[1]):
+        total = total + flat[cols[:, k]]
+    return np.abs(flat[table.left[rows]] * flat[table.right[rows]] - total)
+
+
+def shuffle_residuals(sig: TruncatedTensor) -> np.ndarray:
+    """`shuffle_residual` of every word pair with |w1| + |w2| <= sig.level,
+    the empty word included, in the order of ``_shuffle_table``."""
+    return _residuals(sig, slice(None))
+
+
 def shuffle_residual(sig: TruncatedTensor, w1: tuple, w2: tuple) -> float:
     """|Z^{w1} Z^{w2} - sum over shuffles Z^w|; zero for genuine signatures."""
     if len(w1) + len(w2) > sig.level:
         raise ValueError(
             f"|w1| + |w2| = {len(w1) + len(w2)} exceeds truncation level {sig.level}"
         )
-    product = sig.coordinate(w1) * sig.coordinate(w2)
-    total = sum(sig.coordinate(w) for w in shuffles(w1, w2))
-    return abs(product - total)
+    i1, i2 = (_word_index(w, sig.dim, sig.level) for w in (w1, w2))
+    row = _shuffle_table(sig.dim, sig.level).blocks[len(w1), len(w2)] + i1 * sig.dim ** len(w2) + i2
+    return float(_residuals(sig, slice(row, row + 1))[0])
 
 
 def p_variation_norm(values: np.ndarray, p: float) -> float:

@@ -137,6 +137,34 @@ def ar1_mpmath(decay: float, start: float, drive) -> np.ndarray:
         return np.array([float(v) for v in out])
 
 
+def refined_toeplitz_first_column(row: np.ndarray, block: int = 256) -> np.ndarray:
+    """x = T^{-1} e_1 for the symmetric Toeplitz T with first row ``row``:
+    Levinson's solve, refined once with the residual e_1 - T x summed in
+    long double over dense row blocks."""
+    n = row.size
+    e1 = np.eye(1, n)[0]
+    x = sla.solve_toeplitz(row, e1)
+    wide, xl = row.astype(np.longdouble), x.astype(np.longdouble)
+    residual = e1.astype(np.longdouble)
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(lo + block, n))
+        residual[rows] -= wide[np.abs(rows[:, None] - np.arange(n))] @ xl
+    return x + sla.solve_toeplitz(row, residual.astype(float))
+
+
+def segment_product_signature(samples, level: int, start: int = 0, stop=None):
+    """The signature of a piecewise-linear path as the running product of
+    its segments' exponentials, one tensor_multiply per segment."""
+    from fraclab import segment_signature, tensor_multiply, tensor_unit
+
+    pts = np.asarray(samples, dtype=float).reshape(len(samples), -1)
+    stop = pts.shape[0] - 1 if stop is None else stop
+    sig = tensor_unit(pts.shape[1], level)
+    for j in range(start, stop):
+        sig = tensor_multiply(sig, segment_signature(pts[j + 1] - pts[j], level))
+    return sig
+
+
 def tfe_slope_root(data, guess: float) -> float:
     """A root, found from ``guess``, of the tfe loss's derivative
     L'(theta) = -2 x_0 sum_k (x_k - x_0 e^(-theta t_k)) t_k e^(-theta t_k),

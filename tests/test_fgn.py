@@ -18,7 +18,12 @@ from fraclab import (
 )
 from fraclab import fgn
 from fraclab.grids import NumericFailure
-from oracles import dense_covariance, dense_quadratic, dense_solve
+from oracles import (
+    dense_covariance,
+    dense_quadratic,
+    dense_solve,
+    refined_toeplitz_first_column,
+)
 
 
 class TestUnitAutocovariance:
@@ -274,6 +279,17 @@ class TestGeneratorOperator:
                 np.testing.assert_array_equal(x, np.eye(1, size).ravel())
         finally:
             fgn._unit_generator.cache_clear()
+
+    def test_durbin_builds_the_generator_near_zero_hurst(self):
+        # CG's x is off by 5e-11 here (test_cg_generator_matches_durbin)
+        fgn._unit_generator.cache_clear()
+        try:
+            gen = fgn._unit_generator(0.001, 4096)
+        finally:
+            fgn._unit_generator.cache_clear()
+        want = refined_toeplitz_first_column(unit_autocovariance(0.001, np.arange(4096)))
+        x = sfft.irfft(gen.x_hat, gen.fft_len)[:4096]
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_durbin_builds_the_generator_past_the_cg_cap(self, monkeypatch):
         monkeypatch.setattr(fgn, "_CG_MAX_ITER", 0)

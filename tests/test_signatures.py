@@ -22,16 +22,19 @@ from fraclab import (
     rough_pvar_distance,
     segment_signature,
     shuffle_residual,
+    shuffle_residuals,
     shuffles,
     tensor_multiply,
     tensor_unit,
 )
+from fraclab import signatures
 from oracles import (
     column_holder_distance,
     column_p_variation,
     column_rough_distance,
     exhaustive_p_variation,
     quadrature_signature,
+    segment_product_signature,
 )
 
 # node counts on and across the dynamic program's 32-column block edges
@@ -91,6 +94,19 @@ class TestTruncatedTensor:
             t.coordinate((0, 1, 0))
         with pytest.raises(ValueError, match="letters"):
             t.coordinate((2,))
+
+    @pytest.mark.parametrize("letter", [1.5, 0.0, "0", None])
+    def test_non_integer_letters_rejected(self, letter):
+        t = tensor_unit(2, 2)
+        with pytest.raises(ValueError, match="integer letters"):
+            t.coordinate((letter,))
+        with pytest.raises(ValueError, match="integer letters"):
+            shuffle_residual(t, (0,), (letter,))
+
+    def test_numpy_integer_letters_accepted(self):
+        sig = pwl_signature(np.arange(6.0).reshape(3, 2) ** 2, 2)
+        assert sig.coordinate((np.int64(1), 0)) == sig.coordinate((1, 0))
+        assert shuffle_residual(sig, (np.int8(0),), (1,)) == shuffle_residual(sig, (0,), (1,))
 
     def test_unit_is_identity(self):
         rng = np.random.default_rng(0)
@@ -186,6 +202,58 @@ class TestPwlSignature:
         with pytest.raises(ValueError, match="node range"):
             pwl_signature(np.zeros((4, 2)), 2, 3, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        pts = np.array([[0.0], [bad], [2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            pwl_signature(pts, 1)
+        with pytest.raises(ValueError, match="finite"):
+            segment_signature(np.array([1.0, bad]), 2)
+        # a bad node outside the requested range is never read
+        np.testing.assert_array_equal(pwl_signature(np.array([[0.0], [2.0], [bad]]), 1, 0, 1).data[1], [2.0])
+
+    def test_overflow_rejected(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                pwl_signature(np.array([0.0, 1e200, 0.0]), 3)
+            with pytest.raises(ValueError, match="overflows"):
+                segment_signature(np.array([1e200]), 2)
+            with pytest.raises(ValueError, match="overflows"):
+                pwl_signature(np.array([-1e308, 1e308]), 1)  # the increment itself
+
+    @given(
+        dim=st.integers(1, 4),
+        level=st.integers(1, 3),
+        segments=st.integers(1, 12),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        entries=st.sampled_from([1, 9, signatures._SCAN_ENTRIES]),
+        data=st.data(),
+    )
+    def test_scan_matches_segment_products_bitwise(self, dim, level, segments, scale, entries, data):
+        # small scan blocks carry the prefix across block edges
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        start = data.draw(st.integers(0, segments))
+        stop = data.draw(st.integers(start, segments))
+        pts = scale * np.random.default_rng(seed).standard_normal((segments + 1, dim))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signatures, "_SCAN_ENTRIES", entries)
+            got = pwl_signature(pts, level, start, stop)
+        want = segment_product_signature(pts, level, start, stop)
+        for m in range(level + 1):
+            assert np.array_equal(got.data[m], want.data[m])
+
+    def test_memory_is_bounded_by_the_scan_block(self):
+        # 40 000 segments in one scan would hold 35 MB of level-3 stacks
+        pts = np.random.default_rng(15).standard_normal((40_001, 3))
+        tracemalloc.start()
+        try:
+            sig = pwl_signature(pts, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(sig.data[1], pts[-1] - pts[0], rtol=1e-9, atol=1e-9)
+        assert peak < 8e6
+
 
 class TestShuffleIdentity:
     def test_shuffle_enumeration(self):
@@ -223,6 +291,33 @@ class TestShuffleIdentity:
         sig = pwl_signature(np.zeros((3, 2)), 2)
         with pytest.raises(ValueError, match="exceeds"):
             shuffle_residual(sig, (0, 1), (0,))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_residuals_equal_the_generator_sums(self, dim, level):
+        # a tensor that is not a signature, so that no residual is 0 by luck
+        rng = np.random.default_rng(14 + dim * level)
+        fake = TruncatedTensor(
+            dim, level, (1.3, *(rng.standard_normal((dim,) * m) for m in range(1, level + 1)))
+        )
+        words = [w for k in range(level + 1) for w in itertools.product(range(dim), repeat=k)]
+        pairs = [(a, b) for a in words for b in words if len(a) + len(b) <= level]
+        want = {
+            (a, b): abs(
+                fake.coordinate(a) * fake.coordinate(b)
+                - sum(fake.coordinate(w) for w in shuffles(a, b))
+            )
+            for a, b in pairs
+        }
+        got = shuffle_residuals(fake)
+        table = signatures._shuffle_table(dim, level)
+        assert got.shape == (len(pairs),)
+        for (a, b), value in want.items():
+            row = table.blocks[len(a), len(b)]
+            row += signatures._word_index(a, dim, level) * dim ** len(b)
+            row += signatures._word_index(b, dim, level)
+            assert got[row] == value
+            assert shuffle_residual(fake, a, b) == value
 
 
 class TestPVariationNorm:
