@@ -5,6 +5,8 @@ unknown-key rejection.  Every experiment is a pure function of (config,
 master seed): replicate r draws from SeedSpec(master, r), workers gather
 deterministically, CSV floats carry 17 significant digits, and summaries
 (means, standard errors, slopes, test p-values) go to a JSON sidecar.
+clt's normality p-value is the D'Agostino-Pearson K^2 test in closed form
+(`_normality_p_value`), so no experiment imports scipy's stats subpackage.
 """
 
 from __future__ import annotations
@@ -435,6 +437,50 @@ def _rep_clt(params: dict, seed: SeedSpec) -> list[ResultRow]:
     return _sigma2_rows("clt", params, seed, [(eps, eps**alpha, alpha)])
 
 
+def _normality_p_value(z: np.ndarray) -> float:
+    """p-value of the D'Agostino-Pearson omnibus test, as
+    scipy's ``normaltest`` gives it.
+
+    Z_s is D'Agostino's transform of the sample skewness (Biometrika 57,
+    1970), Z_k Anscombe and Glynn's of the sample kurtosis (Biometrika 70,
+    1983), and K^2 = Z_s^2 + Z_k^2 is chi-squared with two degrees of freedom
+    under normality (D'Agostino and Pearson, Biometrika 60, 1973), so
+    p = exp(-K^2 / 2).  NaN below 8 values, for a constant sample and when
+    any value is non-finite.  At zero sample skewness Z_s = 0; scipy
+    substitutes 1 for the standardised skewness there.
+    """
+    n = z.size
+    if n < 8 or not np.isfinite(z).all():
+        return math.nan
+    mean = z.mean()
+    d = z - mean
+    d2 = d * d
+    m2 = float(d2.mean())
+    if m2 <= (np.finfo(float).eps * mean) ** 2:  # constant up to roundoff
+        return math.nan
+    # skewness: y is sqrt(b1) standardised, W^2 its Johnson S_U shape
+    y = float((d2 * d).mean()) / m2**1.5 * math.sqrt((n + 1) * (n + 3) / (6.0 * (n - 2)))
+    beta2 = (3.0 * (n**2 + 27 * n - 70) * (n + 1) * (n + 3)
+             / ((n - 2.0) * (n + 5) * (n + 7) * (n + 9)))
+    w2 = -1 + math.sqrt(2 * (beta2 - 1))
+    alpha = math.sqrt(2.0 / (w2 - 1))
+    u = y / alpha  # asinh(u), written as scipy writes it
+    z_s = math.log(u + math.sqrt(u * u + 1)) / math.sqrt(0.5 * math.log(w2))
+    # kurtosis: x is b2 standardised, A the shape of its Wilson-Hilferty cube root
+    b2 = float((d2 * d2).mean()) / m2**2
+    x = (b2 - 3.0 * (n - 1) / (n + 1)) / math.sqrt(
+        24.0 * n * (n - 2) * (n - 3) / ((n + 1) * (n + 1.0) * (n + 3) * (n + 5)))
+    sqrt_beta1 = (6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+                  * math.sqrt(6.0 * (n + 3) * (n + 5) / (n * (n - 2) * (n - 3))))
+    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1 + math.sqrt(1 + 4.0 / sqrt_beta1**2))
+    denom = 1 + x * math.sqrt(2 / (a - 4.0))
+    if denom == 0:
+        return math.nan
+    cube = math.copysign(((1 - 2.0 / a) / abs(denom)) ** (1 / 3), denom)
+    z_k = (1 - 2 / (9.0 * a) - cube) / math.sqrt(2 / (9.0 * a))
+    return math.exp(-(z_s * z_s + z_k * z_k) / 2)
+
+
 def _sum_clt(params: dict, rows: list[ResultRow]) -> dict:
     sigma = params["model.sigma"]
     hurst = params["model.hurst"]
@@ -443,10 +489,7 @@ def _sum_clt(params: dict, rows: list[ResultRow]) -> dict:
     delta = eps**alpha
     vals = np.asarray([r.value for r in rows if r.statistic == "sigma2_hat"])
     z = (vals - sigma**2) / math.sqrt(delta)
-    # imported here, since scipy.stats would add about 0.8 s to `import fraclab`
-    from scipy.stats import normaltest
-
-    _, p_value = normaltest(z)
+    p_value = _normality_p_value(z)
     horizon = params["grid.horizon"]
     var_target = 2.0 * sigma**4 / horizon
     var_hat = float(z.var(ddof=1))

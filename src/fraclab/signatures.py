@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "TENSOR_CAP",
     "TruncatedTensor",
     "tensor_unit",
     "tensor_multiply",
@@ -51,11 +52,22 @@ __all__ = [
 _MAX_LEVEL = 3
 _DP_BLOCK = 32  # columns per block of the p-variation program: O(32 N) memory
 _SCAN_ENTRIES = 2**16  # entries per level in a block of the signature scan, whatever N
+TENSOR_CAP = 2**18  # dim**level: ~420 bytes each in the shuffle table, ~110 MB
 
 
 def _check_level(level: int) -> None:
     if not 1 <= level <= _MAX_LEVEL:
         raise ValueError(f"level must be in 1..{_MAX_LEVEL}, got {level}")
+
+
+def _check_size(dim: int, level: int) -> None:
+    """Raise before allocating unless dim**level is within ``TENSOR_CAP``."""
+    _check_level(level)
+    if dim**level > TENSOR_CAP:
+        raise ValueError(
+            f"a level-{level} signature in dimension {dim} needs {dim**level} "
+            f"entries at its top level, above TENSOR_CAP = {TENSOR_CAP}"
+        )
 
 
 def _word_index(word: tuple, dim: int, level: int) -> int:
@@ -113,7 +125,7 @@ class TruncatedTensor:
 
 def tensor_unit(dim: int, level: int) -> TruncatedTensor:
     """Multiplicative unit (1, 0, 0, ...)."""
-    _check_level(level)
+    _check_size(dim, level)
     comps = [1.0] + [np.zeros((dim,) * m) for m in range(1, level + 1)]
     return TruncatedTensor(dim, level, tuple(comps))
 
@@ -165,10 +177,10 @@ def _finite_tensor(dim: int, level: int, comps: list) -> TruncatedTensor:
 def segment_signature(increment: np.ndarray, level: int) -> TruncatedTensor:
     """Signature of a straight segment: the tensor exponential of its
     increment, level-m component increment^(x m) / m!."""
-    _check_level(level)
     v = np.atleast_1d(np.asarray(increment, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"increment must be a vector, got shape {v.shape}")
+    _check_size(v.shape[0], level)
     if not np.isfinite(v).all():
         raise ValueError("increment must be finite")
     return _finite_tensor(v.shape[0], level, [c[0] for c in _exponentials(v[None], level)])
@@ -178,12 +190,12 @@ def pwl_signature(samples: np.ndarray, level: int, start: int = 0, stop: int | N
     """Signature of the piecewise-linear path through `samples` (rows are
     points in R^d) over the node range [start, stop], by one prefix scan per
     level (module docstring)."""
-    _check_level(level)
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two sample points")
+    _check_size(pts.shape[1], level)
     stop = pts.shape[0] - 1 if stop is None else stop
     if not 0 <= start <= stop <= pts.shape[0] - 1:
         raise ValueError(f"bad node range [{start}, {stop}]")
@@ -243,6 +255,7 @@ class _ShuffleTable(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def _shuffle_table(dim: int, level: int) -> _ShuffleTable:
+    _check_size(dim, level)
     offset = np.cumsum([0] + [dim**m for m in range(level + 1)])
     width = math.comb(level, level // 2)  # the most shuffles of one pair
     left, right, cols, blocks, rows = [], [], [], {}, 0

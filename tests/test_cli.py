@@ -385,6 +385,14 @@ class TestExperimentCommand:
         assert "config error" in err and "'sweep.eps_log2'" in err
         assert "Traceback" not in err
 
+    def test_oversized_signature_exits_2(self, capsys, tmp_path):
+        # 1000**3 entries a level: refused before anything is allocated
+        cfg = tmp_path / "sig.cfg"
+        cfg.write_text("experiment = signature-check\nreplicates = 1\nsig.dimension = 1000\n")
+        rc, out, err = run_cli(capsys, "experiment", str(cfg))
+        assert rc == 2 and out == ""
+        assert "config error" in err and "TENSOR_CAP" in err
+
     def test_unknown_experiment_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment = nonsense\n")
@@ -444,14 +452,38 @@ class TestExitCodes:
         assert "numeric failure" in err and "flat fitting loss" in err
 
 
+def _fresh_env():
+    return dict(os.environ, PYTHONPATH=str(Path(fraclab.__file__).parents[1]))
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
     # every command pays for `import fraclab`: scipy.fft and scipy.special
-    # only, while clt's summary and the fOU quadrature import theirs on use
-    env = dict(os.environ, PYTHONPATH=str(Path(fraclab.__file__).parents[1]))
+    # only, while the fOU quadrature imports scipy.integrate on use
     heavy = ["scipy.signal", "scipy.stats", "scipy.integrate", "scipy.interpolate",
              "scipy.optimize"]
     script = f"import sys, fraclab; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=_fresh_env(), capture_output=True, text=True,
+        check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_clt_run_loads_no_scipy_stats(tmp_path):
+    # clt's normality test is closed form, so a whole run, summary and
+    # outputs included, never imports scipy.stats or what it pulls in
+    heavy = ["scipy.stats", "scipy.signal", "scipy.interpolate"]
+    script = (
+        "import sys\n"
+        "from fraclab.experiments import ExperimentConfig, run_config, write_outputs\n"
+        "result = run_config(ExperimentConfig(experiment='clt', replicates=8, params="
+        "{'model.epsilon': '1e-3', 'grid.horizon': '0.5'}))\n"
+        "write_outputs(result, sys.argv[1])\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "clt.csv")],
+        env=_fresh_env(), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+    assert json.loads((tmp_path / "clt.summary.json").read_text())["replicates"] == 8

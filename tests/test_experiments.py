@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import normaltest
 
 from fraclab import NumericFailure, conjecture_scan, experiments
 from fraclab.experiments import (
@@ -22,6 +23,7 @@ from fraclab.experiments import (
     ConfigError,
     ExperimentConfig,
     ResultRow,
+    _normality_p_value,
     _sum_calibration,
     experiment_defaults,
     experiment_names,
@@ -360,7 +362,6 @@ class TestRunConfig:
         assert serial.summary == threaded.summary
 
     @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
-    @pytest.mark.filterwarnings("ignore:One or more sample arguments is too small")
     @pytest.mark.parametrize("name", experiment_names())
     def test_serial_and_parallel_outputs_are_byte_identical(self, name, tmp_path):
         # compare the written bytes, not the dicts: a NaN in the summary
@@ -476,6 +477,42 @@ class TestCalibrationSummary:
         assert summary["mean_decreasing"]
 
 
+_NORMALITY_LAWS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "student-t3": lambda rng, n: rng.standard_t(3.0, n),
+    "cauchy": lambda rng, n: rng.standard_cauchy(n),
+    "exponential": lambda rng, n: rng.exponential(1.0, n),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, 1.0, n),
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+}
+
+
+class TestNormalityPValue:
+    @settings(max_examples=200)
+    @given(
+        size=st.integers(8, 2000),
+        law=st.sampled_from(sorted(_NORMALITY_LAWS)),
+        seed=st.integers(0, 2**32 - 1),
+        scale_log10=st.floats(-6.0, 6.0),
+        shift=st.floats(-1e3, 1e3),
+    )
+    def test_matches_scipy_normaltest(self, size, law, seed, scale_log10, shift):
+        z = shift + 10.0**scale_log10 * _NORMALITY_LAWS[law](np.random.default_rng(seed), size)
+        # below the smallest normal double exp(-K^2/2) keeps few bits
+        assert _normality_p_value(z) == pytest.approx(
+            float(normaltest(z).pvalue), rel=1e-10, abs=np.finfo(float).tiny
+        )
+
+    @pytest.mark.parametrize(
+        "z",
+        [np.arange(7.0), np.full(20, 0.1), np.zeros(20),
+         np.r_[np.arange(20.0), np.nan], np.r_[np.arange(20.0), -np.inf]],
+        ids=["seven-values", "constant", "zeros", "nan", "inf"],
+    )
+    def test_undefined_samples_give_nan(self, z):
+        assert math.isnan(_normality_p_value(z))
+
+
 class TestWriteOutputs:
     def test_csv_and_summary_sidecar(self, tmp_path):
         result = run_config(
@@ -493,7 +530,6 @@ class TestWriteOutputs:
         assert summary == json.loads(json.dumps(result.summary))
 
     @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
-    @pytest.mark.filterwarnings("ignore:One or more sample arguments is too small")
     @pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0")
     @pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide")
     @pytest.mark.parametrize("replicates", [1, 3])

@@ -221,6 +221,26 @@ class TestPwlSignature:
             with pytest.raises(ValueError, match="overflows"):
                 pwl_signature(np.array([-1e308, 1e308]), 1)  # the increment itself
 
+    @pytest.mark.parametrize("dim, level", [(65, 3), (513, 2)])
+    def test_oversized_signature_rejected_before_allocating(self, dim, level):
+        assert dim**level > signatures.TENSOR_CAP >= (dim - 1) ** level
+        tensor_unit(dim - 1, level)  # at the cap
+        pts = np.zeros((2, dim))
+        tracemalloc.start()
+        try:
+            for build in (
+                lambda: pwl_signature(pts, level),
+                lambda: segment_signature(pts[1], level),
+                lambda: tensor_unit(dim, level),
+                lambda: signatures._shuffle_table(dim, level),
+            ):
+                with pytest.raises(ValueError, match="TENSOR_CAP"):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     @given(
         dim=st.integers(1, 4),
         level=st.integers(1, 3),
