@@ -3,8 +3,8 @@ built on it: a Gohberg-Semencul operator for the inverse covariance
 (solves and quadratic forms by FFT in O(N) memory; its generator comes
 from preconditioned conjugate gradients, with Durbin's recursion as the
 positive-definiteness certificate), its spectral norm, and the stationary
-Ornstein-Uhlenbeck autocovariance under fractional driving, with its
-power-law expansion.
+Ornstein-Uhlenbeck autocovariance under fractional driving in closed form,
+with its power-law expansion.
 
 The increment autocovariance at step delta and lag k is
 
@@ -16,14 +16,13 @@ so gamma(0) = delta^(2H) and, for H = 1/2, gamma(k) = 0 for every k >= 1
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammaincc, hyp1f1
 
 from .grids import NumericFailure
 
@@ -370,56 +369,13 @@ def fou_autocovariance_expansion(
 
 
 # r(u) is evaluated by its power series up to _SERIES_MAX_U (the series
-# cancels like e^u), by quadrature below _EXPANSION_MIN_U, and by the
+# cancels like e^u), in closed form below _EXPANSION_MIN_U, and by the
 # asymptotic expansion beyond, whose smallest term there is below 1e-14 of
 # the sum.
 _SERIES_MAX_U = 2.0
 _EXPANSION_MIN_U = 40.0
 _SERIES_TERMS = 30  # u^60 / 60! < 1e-63 at u = 2
-_QUAD_RTOL = 1e-12
-# the quadrature ray's angle: the pole of 1/(1+z^2) at z = i stays outside
-# the sector between the ray and the real axis, at distance cos(pi/3)
-_RAY = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
 _EPS = float(np.finfo(float).eps)
-
-
-def _fou_spectral_integral(hurst: float, u: float) -> float:
-    """integral_0^inf cos(u y) y^(1-2H) / (1 + y^2) dy for u > 0.
-
-    The real-axis integrand oscillates and decays only like y^(-1-2H), so
-    the integral of e^(iuz) z^(1-2H) / (1 + z^2) is taken along the ray
-    z = s e^(i pi/3) instead (Cauchy: no pole in the sector, and the arc
-    vanishes since the power is below 1).  There the integrand decays like
-    e^(-u s sin(pi/3)); [0, 1] carries the s^(1-2H) endpoint weight.
-    Raises NumericFailure unless quad's own error estimate is below
-    _QUAD_RTOL of the two pieces' magnitude.
-    """
-    # imported here, since scipy.integrate would add about 0.25 s to `import fraclab`
-    from scipy.integrate import quad
-
-    a = 1.0 - 2.0 * hurst
-    lead = _RAY ** (a + 1.0)
-
-    def smooth(s: float) -> float:
-        z = s * _RAY
-        return (lead * cmath.exp(1j * u * z) / (1.0 + z * z)).real
-
-    # full_output returns quad's diagnostics instead of warning; the error
-    # estimate is checked below
-    head, head_err, *_ = quad(
-        smooth, 0.0, 1.0, weight="alg", wvar=(a, 0.0),
-        epsabs=0.0, epsrel=0.1 * _QUAD_RTOL, limit=200, full_output=1,
-    )
-    tail, tail_err, *_ = quad(
-        lambda s: s**a * smooth(s), 1.0, np.inf,
-        epsabs=0.0, epsrel=0.1 * _QUAD_RTOL, limit=200, full_output=1,
-    )
-    if not head_err + tail_err <= _QUAD_RTOL * (abs(head) + abs(tail)):
-        raise NumericFailure(
-            f"fOU covariance quadrature at H={hurst}, u={u}: error estimate "
-            f"{head_err + tail_err:.3e} exceeds {_QUAD_RTOL:g} of the integral"
-        )
-    return head + tail
 
 
 def unit_fou_autocovariance(hurst: float, lags) -> np.ndarray:
@@ -428,12 +384,19 @@ def unit_fou_autocovariance(hurst: float, lags) -> np.ndarray:
     (Cheridito, Kawaguchi & Maejima, EJP 8, 2003), at lags u >= 0:
 
         r(u) = Gamma(2H+1) sin(pi H) / pi * integral_0^inf cos(u y) y^(1-2H) / (1 + y^2) dy
-             = Gamma(2H+1) / 2 * [cosh u - sum_n u^(2H+2n) / Gamma(2H+2n+1)],
+             = Gamma(2H+1) / 2 * [cosh u - sum_n u^(2H+2n) / Gamma(2H+2n+1)]
+             = Gamma(a+1) / 4 * [e^u Q(a, u) + e^(-u) - e^(-u) u^a 1F1(a; a+1; u) / Gamma(a+1)],
 
-    so r(0) = H Gamma(2H) and r(u) = e^(-u) / 2 at H = 1/2.  At lam and beta
-    the covariance is beta^2 lam^(-2H) r(lam s).  Accurate to about 1e-12
-    relative: the series for u <= 2, quadrature along a complex ray below
-    u = 40, the asymptotic expansion beyond.
+    a = 2H, Q the regularised upper incomplete gamma function: the sum's
+    terms in every power u^(a+k) give e^u P(a, u), the alternating ones
+    Kummer's transform of u^a 1F1(1; a+1; -u) / Gamma(a+1).  So r(0) =
+    H Gamma(2H) and r(u) = e^(-u) / 2 at H = 1/2.  At lam and beta the
+    covariance is beta^2 lam^(-2H) r(lam s).  The series serves u <= 2, the
+    closed form u < 40 and the asymptotic expansion the rest.  The error is
+    at most 1e-12 |r(u)| + 1e-14 r(0) at every H: 1e-12 relative away from
+    H = 1/2 and from the zero r crosses for H < 1/2, and 1e-14 r(0) absolute
+    near H = 1/2, where r ~ e^(-u)/2 + H(2H-1) u^(2H-2) is small against the
+    closed form's two halves, each of order u^(2H-1), that cancel to it.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -462,9 +425,18 @@ def unit_fou_autocovariance(hurst: float, lags) -> np.ndarray:
     out[large] = fou_autocovariance_expansion(hurst, 1.0, u[large], None)
 
     middle = ~(small | large)
-    scale = gamma_fn(a + 1.0) * math.sin(math.pi * hurst) / math.pi
-    out[middle] = [scale * _fou_spectral_integral(hurst, v) for v in u[middle]]
+    out[middle] = _fou_closed_form(hurst, u[middle])
     return out
+
+
+def _fou_closed_form(hurst: float, u: np.ndarray) -> np.ndarray:
+    """r(u) at 0 < u < 709 by ``unit_fou_autocovariance``'s incomplete-gamma
+    and Kummer form, one numpy expression."""
+    a = 2.0 * hurst
+    scale = gamma_fn(a + 1.0)
+    return 0.25 * scale * (
+        np.exp(u) * gammaincc(a, u) + np.exp(-u) * (1.0 - u**a * hyp1f1(a, a + 1.0, u) / scale)
+    )
 
 
 def stationary_fou_variance(hurst: float, lam: float, beta: float) -> float:

@@ -104,7 +104,7 @@ _Law = float | _CellSum | _FastSlowPair
 @functools.lru_cache(maxsize=8)
 def _fou_row(hurst: float, ratio: float, size: int) -> np.ndarray:
     """r(k / ratio), k < size, r the unit fOU autocovariance; cached, as the
-    slow and pair laws read the same lags and each in (2, 40) costs quad."""
+    slow and pair laws read the same lags."""
     row = unit_fou_autocovariance(hurst, np.arange(size) / ratio)
     row.flags.writeable = False
     return row

@@ -105,6 +105,17 @@ class TestSimulate:
         assert len(values) == 7
         assert np.all(np.isfinite(values))
 
+    def test_fou_next_to_half_samples(self, capsys):
+        # at H = 0.4999 the fOU covariance r is nearly 0 against the two
+        # halves of its closed form that cancel to it; sampling still works
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "fou", "--hurst", "0.4999", "--lam", "1",
+            "--delta", "0.5", "--count", "100",
+        )
+        assert rc == 0, err
+        _, values = parse_traj_stdout(out)
+        assert len(values) == 101 and np.all(np.isfinite(values))
+
     def test_bad_delta_is_config_error(self, capsys):
         rc, _, err = run_cli(
             capsys, "simulate", "--model", "fbm", "--delta", "-1", "--count", "4"
@@ -458,7 +469,7 @@ def _fresh_env():
 
 def test_import_loads_no_heavy_scipy_subpackage():
     # every command pays for `import fraclab`: scipy.fft and scipy.special
-    # only, while the fOU quadrature imports scipy.integrate on use
+    # only
     heavy = ["scipy.signal", "scipy.stats", "scipy.integrate", "scipy.interpolate",
              "scipy.optimize"]
     script = f"import sys, fraclab; print([m for m in {heavy!r} if m in sys.modules])"
@@ -487,3 +498,24 @@ def test_clt_run_loads_no_scipy_stats(tmp_path):
     ).stdout
     assert out.strip() == "[]"
     assert json.loads((tmp_path / "clt.summary.json").read_text())["replicates"] == 8
+
+
+def test_consistency_rate_run_loads_no_scipy_integrate(tmp_path):
+    # consistency-rate reads the fOU covariance r on lags in (2, 40), which
+    # is closed form, so a whole run never imports scipy.integrate or the
+    # subpackages it pulls in
+    heavy = ["scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse",
+             "scipy.spatial"]
+    script = (
+        "import sys\n"
+        "from fraclab.experiments import ExperimentConfig, run_config, write_outputs\n"
+        "result = run_config(ExperimentConfig(experiment='consistency-rate', replicates=2))\n"
+        "write_outputs(result, sys.argv[1])\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "rate.csv")],
+        env=_fresh_env(), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+    assert json.loads((tmp_path / "rate.summary.json").read_text())["replicates"] == 2

@@ -40,6 +40,7 @@ from fraclab.grids import STREAM_BROWNIAN, STREAM_DRIVER
 from oracles import (
     ar1_mpmath,
     fou_autocovariance_hyp1f2,
+    fou_autocovariance_ray_quadrature,
     fou_integral_hyp1f2,
     naive_circulant_fgn,
     physical_fbm_node_law,
@@ -443,7 +444,7 @@ class TestPhysicalFbm:
 
 
 class TestFouAutocovariance:
-    # every branch of r: the series (u <= 2), the ray quadrature (2 < u < 40)
+    # every branch of r: the series (u <= 2), the closed form (2 < u < 40)
     # and the asymptotic expansion (u >= 40)
     LAGS = np.concatenate([np.geomspace(1e-3, 2.0, 12), np.linspace(2.1, 59.9, 28)])
 
@@ -454,12 +455,39 @@ class TestFouAutocovariance:
         expected = [fou_autocovariance_hyp1f2(hurst, u) for u in self.LAGS]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "hurst", [1e-3, 0.45, 0.49, 0.499, 0.4999, 0.5001, 0.501, 0.51, 0.55, 0.999]
+    )
+    def test_error_bound(self, hurst):
+        # the docstring's bound, 1e-12 |r| + 1e-14 r(0), on every branch:
+        # relative away from H = 1/2, absolute near it, where r is small
+        # against the closed form's cancelling halves (and H = 0.45 has r's
+        # zero inside (2, 40))
+        pytest.importorskip("mpmath")
+        lags = np.concatenate([np.geomspace(1e-3, 2.0, 6), np.geomspace(2.05, 39.9, 30), [45.0]])
+        got = unit_fou_autocovariance(hurst, lags)
+        expected = np.array([fou_autocovariance_hyp1f2(hurst, u) for u in lags])
+        bound = 1e-12 * np.abs(expected) + 1e-14 * stationary_fou_variance(hurst, 1.0, 1.0)
+        assert np.all(np.abs(got - expected) <= bound)
+
+    @pytest.mark.parametrize("hurst", [0.4999, 0.49999, 0.5001])
+    def test_finite_next_to_half(self, hurst):
+        # r ~ e^(-u)/2 there, tiny against the closed form's cancelling
+        # halves, and must come out finite and without an exception
+        lags = np.linspace(2.01, 39.99, 200)
+        got = unit_fou_autocovariance(hurst, lags)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, 0.5 * np.exp(-lags), rtol=0.0, atol=1e-4)
+
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
     def test_quadrature_meets_expansion_on_the_overlap(self, hurst):
+        # past u = 40 the closed form, the expansion r uses there and the
+        # spectral integral by quadrature agree to 1e-12
         lags = np.linspace(40.0, 60.0, 9)
-        scale = gamma_fn(2 * hurst + 1) * math.sin(math.pi * hurst) / math.pi
-        by_quadrature = [scale * fgn._fou_spectral_integral(hurst, u) for u in lags]
         by_expansion = fou_autocovariance_expansion(hurst, 1.0, lags, None)
+        by_quadrature = [fou_autocovariance_ray_quadrature(hurst, u) for u in lags]
+        by_closed_form = fgn._fou_closed_form(hurst, lags)
+        np.testing.assert_allclose(by_closed_form, by_expansion, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(by_quadrature, by_expansion, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(unit_fou_autocovariance(hurst, lags), by_expansion)
 
