@@ -11,10 +11,11 @@ import math
 import numpy as np
 
 from .fgn import FgnCovariance, _checked_covariance
-from .grids import NumericFailure, Trajectory, second_order_increments
+from .grids import NumericFailure, SamplingGrid, Trajectory, second_order_increments
 
 __all__ = [
     "sigma2_hat",
+    "sigma2_hat_rows",
     "hurst_hat",
     "expected_bias_h_half",
     "admissible_alpha",
@@ -28,9 +29,17 @@ def sigma2_hat(
     """Whitened quadratic estimator of sigma^2 from one trajectory:
     (1/N) dx' Sigma^{-1} dx with Sigma the fGn increment covariance at the
     observation step and the supplied hurst."""
-    grid = trajectory.grid
+    return sigma2_hat_rows(trajectory.values, trajectory.grid, hurst, cov=cov)
+
+
+def sigma2_hat_rows(
+    values: np.ndarray, grid: SamplingGrid, hurst: float, *, cov: FgnCovariance | None = None
+):
+    """:func:`sigma2_hat` of each row of (rows, count + 1) node values on
+    ``grid``, row j equal to it bit for bit, through one batched quadratic
+    form (a float for 1-D ``values``)."""
     cov = _checked_covariance(hurst, grid, cov)
-    dx = np.diff(trajectory.values)
+    dx = np.diff(values, axis=-1)
     return cov.quadratic_form(dx) / grid.count
 
 

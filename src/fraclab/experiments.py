@@ -5,6 +5,13 @@ unknown-key rejection.  Every experiment is a pure function of (config,
 master seed): replicate r draws from SeedSpec(master, r), workers gather
 deterministically, CSV floats carry 17 significant digits, and summaries
 (means, standard errors, slopes, test p-values) go to a JSON sidecar.
+The runner splits the replicates into contiguous chunks and calls the
+experiment's chunk kernel once per chunk; rows come out replicate-major,
+and a NumericFailure names the experiment and the replicate it stopped at.
+bias-sweep, consistency-rate and clt share the sigma2_hat kernel
+(`_sigma2_rows`), which draws and whitens each cell for a block of
+replicates at once, bit for bit as one replicate at a time would; the
+other experiments run one replicate at a time (`_each_replicate`).
 clt's normality p-value is the D'Agostino-Pearson K^2 test in closed form
 (`_normality_p_value`), so no experiment imports scipy's stats subpackage.
 """
@@ -16,6 +23,7 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -37,8 +45,10 @@ from .grids import (
 from .likelihood import FouLikelihood
 from .signatures import pwl_signature, shuffle_residuals, tensor_multiply
 from .simulate import (
+    _embedding_half_size,
     sample_approximate_model,
     sample_slow_component,
+    sample_slow_paths,
     sample_tfe_system,
 )
 from .tfe import TfeInstance, averaged_trajectory, sup_node_error, tfe_estimate
@@ -311,37 +321,59 @@ _BIAS_DEFAULTS = {
 }
 
 
-def _sigma2_rows(name: str, params: dict, seed: SeedSpec, cells) -> list[ResultRow]:
+# Most doubles per array of one block of the sigma2_hat kernel: a block of
+# replicates holds a few arrays of 2m doubles per row, m the embedding
+# half-size (the whitening FFT length is at most 2m), so this bounds a
+# chunk's transient memory at a few MB whatever its replicate count.
+_BLOCK_DOUBLES = 2**18
+
+
+def _sigma2_rows(
+    name: str, params: dict, master: int, replicates: range, cells
+) -> list[ResultRow]:
     """sigma2_hat of the slow component at each (epsilon, delta, alpha) cell
-    (alpha None where it does not apply), cell i drawn from stream 3i."""
+    (alpha None where it does not apply) for a chunk of replicates, cell i
+    of replicate r drawn from SeedSpec(master, r) stream 3i.  Each cell
+    draws and whitens blocks of replicates at once (``sample_slow_paths``,
+    ``estimators.sigma2_hat_rows``).  A failure depends on the cell alone,
+    so it names the block's first replicate, where a replicate-at-a-time
+    loop would have stopped."""
     sigma = params["model.sigma"]
     hurst = params["model.hurst"]
-    rows = []
-    for i, (eps, delta, alpha) in enumerate(cells):
+    values = np.empty((len(replicates), len(cells)))
+    for i, (eps, delta, _) in enumerate(cells):
         grid = make_grid(delta, params["grid.horizon"])
-        slow = sample_slow_component(
-            MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps), grid, seed, stream=3 * i
+        law = MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps)
+        with _replicate_context(name, replicates[0]):
+            m = _embedding_half_size(hurst, eps / grid.delta, grid.count)
+        rows = max(1, _BLOCK_DOUBLES // (2 * m))
+        for start in range(0, len(replicates), rows):
+            block = replicates[start : start + rows]
+            with _replicate_context(name, block[0]):
+                seeds = [SeedSpec(master, r) for r in block]
+                paths = sample_slow_paths(law, grid, seeds, stream=3 * i)
+                values[start : start + rows, i] = estimators.sigma2_hat_rows(paths, grid, hurst)
+    return [
+        ResultRow(
+            experiment=name,
+            replicate=r,
+            statistic="sigma2_hat",
+            value=value,
+            epsilon=eps,
+            delta=delta,
+            alpha=alpha,
+            hurst=hurst,
+            sigma=sigma,
         )
-        rows.append(
-            ResultRow(
-                experiment=name,
-                replicate=seed.replicate,
-                statistic="sigma2_hat",
-                value=estimators.sigma2_hat(slow, hurst),
-                epsilon=eps,
-                delta=delta,
-                alpha=alpha,
-                hurst=hurst,
-                sigma=sigma,
-            )
-        )
-    return rows
+        for r, row in zip(replicates, values.tolist())
+        for value, (eps, delta, alpha) in zip(row, cells)
+    ]
 
 
-def _rep_bias_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
+def _run_bias_sweep(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
     delta = params["grid.delta"]
     cells = [(ratio * delta, delta, None) for ratio in params["sweep.ratios"]]
-    return _sigma2_rows("bias-sweep", params, seed, cells)
+    return _sigma2_rows(name, params, master, replicates, cells)
 
 
 def _sum_bias_sweep(params: dict, rows: list[ResultRow]) -> dict:
@@ -390,11 +422,13 @@ _RATE_DEFAULTS = {
 }
 
 
-def _rep_consistency_rate(params: dict, seed: SeedSpec) -> list[ResultRow]:
+def _run_consistency_rate(
+    name: str, params: dict, master: int, replicates: range
+) -> list[ResultRow]:
     alpha = params["sweep.alpha"]
     epsilons = [2.0**lev for lev in params["sweep.eps_log2"]]
     cells = [(eps, eps**alpha, alpha) for eps in epsilons]
-    return _sigma2_rows("consistency-rate", params, seed, cells)
+    return _sigma2_rows(name, params, master, replicates, cells)
 
 
 def _sum_consistency_rate(params: dict, rows: list[ResultRow]) -> dict:
@@ -431,10 +465,10 @@ _CLT_DEFAULTS = {
 }
 
 
-def _rep_clt(params: dict, seed: SeedSpec) -> list[ResultRow]:
+def _run_clt(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
     eps = params["model.epsilon"]
     alpha = params["sweep.alpha"]
-    return _sigma2_rows("clt", params, seed, [(eps, eps**alpha, alpha)])
+    return _sigma2_rows(name, params, master, replicates, [(eps, eps**alpha, alpha)])
 
 
 def _normality_p_value(z: np.ndarray) -> float:
@@ -1030,38 +1064,74 @@ def _sum_tfe_sweep(params: dict, rows: list[ResultRow]) -> dict:
 # ---------------------------------------------------------------------------
 # registry and runner
 
+@contextmanager
+def _replicate_context(name: str, replicate: int):
+    """Prefix a NumericFailure with the experiment and replicate it stopped."""
+    try:
+        yield
+    except NumericFailure as exc:
+        raise NumericFailure(f"experiment '{name}' replicate {replicate}: {exc}") from exc
+
+
+def _each_replicate(replicate: Callable[[dict, SeedSpec], list]):
+    """The chunk kernel of an experiment run one replicate at a time:
+    ``replicate(params, SeedSpec(master, r))`` for each r in order."""
+
+    def run(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
+        rows: list[ResultRow] = []
+        for r in replicates:
+            with _replicate_context(name, r):
+                rows.extend(replicate(params, SeedSpec(master, r)))
+        return rows
+
+    return run
+
+
 @dataclass(frozen=True)
 class _Experiment:
     name: str
     defaults: dict
     default_replicates: int
-    replicate: Callable[[dict, SeedSpec], list]
+    # rows of a contiguous chunk of replicates, replicate-major:
+    # run(name, params, master, replicates)
+    run: Callable[[str, dict, int, range], list]
     summarize: Callable[[dict, list], dict]
 
 
 _REGISTRY = {
     e.name: e
     for e in (
-        _Experiment("bias-sweep", _BIAS_DEFAULTS, 2000, _rep_bias_sweep, _sum_bias_sweep),
+        _Experiment("bias-sweep", _BIAS_DEFAULTS, 2000, _run_bias_sweep, _sum_bias_sweep),
         _Experiment(
-            "consistency-rate", _RATE_DEFAULTS, 500, _rep_consistency_rate, _sum_consistency_rate
+            "consistency-rate", _RATE_DEFAULTS, 500, _run_consistency_rate, _sum_consistency_rate
         ),
-        _Experiment("clt", _CLT_DEFAULTS, 2000, _rep_clt, _sum_clt),
+        _Experiment("clt", _CLT_DEFAULTS, 2000, _run_clt, _sum_clt),
         _Experiment(
-            "score-consistency", _SCORE_DEFAULTS, 200, _rep_score_consistency, _sum_score_consistency
-        ),
-        _Experiment(
-            "expansion-residual", _EXPANSION_DEFAULTS, 50, _rep_expansion_residual, _sum_expansion_residual
-        ),
-        _Experiment("hurst-sweep", _HURST_DEFAULTS, 200, _rep_hurst_sweep, _sum_hurst_sweep),
-        _Experiment("conjecture-scan", _SCAN_DEFAULTS, 1, _rep_conjecture_scan, _sum_conjecture_scan),
-        _Experiment(
-            "calibration-convergence", _CALIBRATION_DEFAULTS, 20, _rep_calibration, _sum_calibration
+            "score-consistency", _SCORE_DEFAULTS, 200,
+            _each_replicate(_rep_score_consistency), _sum_score_consistency,
         ),
         _Experiment(
-            "signature-check", _SIGNATURE_DEFAULTS, 100, _rep_signature_check, _sum_signature_check
+            "expansion-residual", _EXPANSION_DEFAULTS, 50,
+            _each_replicate(_rep_expansion_residual), _sum_expansion_residual,
         ),
-        _Experiment("tfe-sweep", _TFE_DEFAULTS, 200, _rep_tfe_sweep, _sum_tfe_sweep),
+        _Experiment(
+            "hurst-sweep", _HURST_DEFAULTS, 200, _each_replicate(_rep_hurst_sweep), _sum_hurst_sweep
+        ),
+        _Experiment(
+            "conjecture-scan", _SCAN_DEFAULTS, 1,
+            _each_replicate(_rep_conjecture_scan), _sum_conjecture_scan,
+        ),
+        _Experiment(
+            "calibration-convergence", _CALIBRATION_DEFAULTS, 20,
+            _each_replicate(_rep_calibration), _sum_calibration,
+        ),
+        _Experiment(
+            "signature-check", _SIGNATURE_DEFAULTS, 100,
+            _each_replicate(_rep_signature_check), _sum_signature_check,
+        ),
+        _Experiment(
+            "tfe-sweep", _TFE_DEFAULTS, 200, _each_replicate(_rep_tfe_sweep), _sum_tfe_sweep
+        ),
     )
 }
 
@@ -1084,20 +1154,9 @@ class ExperimentResult:
     summary: dict
 
 
-def _run_replicate(name: str, params: dict, master: int, replicate: int):
-    spec = _REGISTRY[name]
-    try:
-        return spec.replicate(params, SeedSpec(master, replicate))
-    except NumericFailure as exc:
-        raise NumericFailure(f"experiment '{name}' replicate {replicate}: {exc}") from exc
-
-
 def _run_chunk(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
     """Rows of a contiguous run of replicates in order; the first failure raises."""
-    rows: list[ResultRow] = []
-    for r in replicates:
-        rows.extend(_run_replicate(name, params, master, r))
-    return rows
+    return _REGISTRY[name].run(name, params, master, replicates)
 
 
 def run_config(config: ExperimentConfig) -> ExperimentResult:

@@ -248,14 +248,17 @@ class FgnCovariance:
         # Sigma_delta^{-1} = delta^(-2H) Sigma_1^{-1}
         return self.delta ** (-2.0 * self.hurst) / gen.x0
 
-    def _transposed(self, gen: _Generator, rhs: np.ndarray):
-        """L(x)^T rhs and L(y)^T rhs along axis 0."""
-        shape = (-1,) + (1,) * (rhs.ndim - 1)
-        rhs_hat = sfft.rfft(rhs, gen.fft_len, axis=0)
+    def _transposed(self, gen: _Generator, rhs: np.ndarray, axis: int = 0):
+        """L(x)^T rhs and L(y)^T rhs along ``axis``: 0, or -1 for rows."""
+        shape = [1] * rhs.ndim
+        shape[axis] = -1
+        head = [slice(None)] * rhs.ndim
+        head[axis] = slice(self.size)
+        rhs_hat = sfft.rfft(rhs, gen.fft_len, axis=axis)
         return tuple(
             sfft.irfft(
-                np.conj(v_hat).reshape(shape) * rhs_hat, gen.fft_len, axis=0
-            )[: self.size]
+                np.conj(v_hat).reshape(shape) * rhs_hat, gen.fft_len, axis=axis
+            )[tuple(head)]
             for v_hat in (gen.x_hat, gen.y_hat)
         )
 
@@ -275,22 +278,37 @@ class FgnCovariance:
         out_hat -= gen.y_hat.reshape(shape) * sfft.rfft(b, m, axis=0)
         return sfft.irfft(out_hat, m, axis=0)[: self.size] * self._scale(gen)
 
-    def _vector(self, w: np.ndarray, name: str) -> np.ndarray:
+    def _rows(self, w: np.ndarray, name: str) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.size,):
-            raise ValueError(f"{name} must have shape ({self.size},), got {w.shape}")
+        if w.ndim not in (1, 2) or w.shape[-1] != self.size:
+            raise ValueError(
+                f"{name} must have shape ({self.size},) or (rows, {self.size}), "
+                f"got {w.shape}"
+            )
         return w
 
-    def quadratic_form(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
+    def quadratic_form(self, u: np.ndarray, v: np.ndarray | None = None):
         """u^T Sigma^{-1} v (v defaults to u) as
-        (<L(x)^T u, L(x)^T v> - <L(y)^T u, L(y)^T v>) delta^(-2H) / x0."""
+        (<L(x)^T u, L(x)^T v> - <L(y)^T u, L(y)^T v>) delta^(-2H) / x0.
+
+        For (rows, N) arrays, one value per row: the rows share each batched
+        FFT, and each row's inner products are its own contiguous dot
+        products, so row j equals the 1-D call on u[j] (and v[j]) bit for
+        bit."""
         gen = self.cholesky
-        au, bu = self._transposed(gen, self._vector(u, "u"))
+        u = self._rows(u, "u")
+        au, bu = self._transposed(gen, u, -1)
         if v is None:
             av, bv = au, bu
         else:
-            av, bv = self._transposed(gen, self._vector(v, "v"))
-        return float((au @ av - bu @ bv) * self._scale(gen))
+            v = self._rows(v, "v")
+            if v.shape != u.shape:
+                raise ValueError(f"v has shape {v.shape}, u has shape {u.shape}")
+            av, bv = self._transposed(gen, v, -1)
+        scale = self._scale(gen)
+        if u.ndim == 1:
+            return float((au @ av - bu @ bv) * scale)
+        return np.array([(a @ c - b @ d) * scale for a, b, c, d in zip(au, bu, av, bv)])
 
     def inverse_spectral_norm(self) -> float:
         """||Sigma^{-1}||_2 = 1 / lambda_min(Sigma), one path at every N:

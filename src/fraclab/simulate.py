@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +46,7 @@ from .grids import (
     SamplingGrid,
     SeedSpec,
     Trajectory,
+    _require_finite,
 )
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "PhysicalFbmSample",
     "sample_physical_fbm",
     "sample_slow_component",
+    "sample_slow_paths",
     "TfeSystemSample",
     "sample_tfe_system",
 ]
@@ -260,8 +263,16 @@ def _embedding_half_size(hurst: float, law: _Law, n: int) -> int:
             m = min(sfft.next_fast_len(2 * m, real=True), _MAX_GROWN_HALF_SIZE)
 
 
+def _draw_rows(rngs, shape: tuple) -> np.ndarray:
+    """Standard normals of ``shape``, row j ``rngs[j].standard_normal(shape[1:])``."""
+    z = np.empty(shape)
+    for j, rng in enumerate(rngs):
+        z[j] = rng.standard_normal(shape[1:])
+    return z
+
+
 def _unit_stream(
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     hurst: float,
     n: int,
     law: _Law = 0.0,
@@ -272,6 +283,10 @@ def _unit_stream(
     eps/delta > 0, cell sums at a :class:`_CellSum`, (2, n) fast values and
     slow increments at a :class:`_FastSlowPair`.  With ``batch``, a leading
     batch axis of streams equal, bit for bit, to ``batch`` successive calls.
+    With a sequence of generators for ``rng``, a leading axis of one stream
+    per generator, row j equal, bit for bit, to a call with ``rng[j]``: each
+    row draws from its own generator and the rows share every step after
+    the draw, one batched inverse FFT among them.
 
     Unit fGn at H = 1/2 reduces to i.i.d. standard normals.  Every other law
     uses the 2m-circulant embedding (Davies-Harte; Wood & Chan, JCGS 3,
@@ -283,9 +298,14 @@ def _unit_stream(
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
-    lead = () if batch is None else (batch,)
+    if not isinstance(rng, Sequence):
+        lead, draw = () if batch is None else (batch,), rng.standard_normal
+    elif batch is None:
+        lead, draw = (len(rng),), functools.partial(_draw_rows, rng)
+    else:
+        raise ValueError("batch needs a single generator")
     if hurst == 0.5 and law == 0.0:
-        return rng.standard_normal(lead + (n,))
+        return draw(lead + (n,))
     m = _embedding_half_size(hurst, law, n)
     roots = _circulant_roots(hurst, law, m)
     if roots.ndim == 3:  # one row of normals per component of the pair
@@ -294,7 +314,7 @@ def _unit_stream(
     # parts 0..m, then imaginary parts 1..m-1) is part of the contract.
     # irfft's kernel is the conjugate of the forward FFT's, so the imaginary
     # parts enter with a minus sign to give the forward-FFT realisation.
-    z = rng.standard_normal(lead + (2 * m,))
+    z = draw(lead + (2 * m,))
     z[..., 1:m] *= _SQRT_HALF
     z[..., m + 1 :] *= -_SQRT_HALF
     half = np.empty(lead + (m + 1,), dtype=complex)
@@ -495,13 +515,32 @@ def sample_slow_component(
     ``_slow_unit_autocovariance``), sampled by the same circulant embedding
     as fGn.  It has the law of ``sample_physical_fbm(...).slow`` but one
     univariate stream, so not its draws: use ``sample_physical_fbm`` when
-    the fast component or the driver is read with X.
+    the fast component or the driver is read with X.  It is the one-row
+    case of :func:`sample_slow_paths`.
     """
+    return Trajectory(grid, sample_slow_paths(params, grid, [seed], stream=stream)[0])
+
+
+def sample_slow_paths(
+    params: MultiscaleParams,
+    grid: SamplingGrid,
+    seeds: Sequence[SeedSpec],
+    *,
+    stream: int = STREAM_DRIVER,
+) -> np.ndarray:
+    """(len(seeds), count + 1) node values of the slow component, row j
+    equal, bit for bit, to ``sample_slow_component(params, grid, seeds[j],
+    stream=stream).values``: each row draws from its own seed's stream, and
+    the rows share one batched transform.  Its memory is a few arrays of
+    len(seeds) rows of 2m doubles, m the embedding half-size."""
     eps, sigma, hurst = params.epsilon, params.sigma, params.hurst
-    rng = seed.rng(stream)
-    increments = _unit_stream(rng, hurst, grid.count, eps / grid.delta)
+    rngs = [seed.rng(stream) for seed in seeds]
+    increments = _unit_stream(rngs, hurst, grid.count, eps / grid.delta)
     increments *= sigma * grid.delta**hurst
-    return Trajectory(grid, np.concatenate(([0.0], np.cumsum(increments))))
+    paths = np.zeros((len(rngs), grid.count + 1))
+    np.cumsum(increments, axis=-1, out=paths[:, 1:])
+    _require_finite(paths, "trajectory values")
+    return paths
 
 
 @functools.lru_cache(maxsize=32)

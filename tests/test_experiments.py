@@ -9,6 +9,7 @@ import re
 import struct
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import normaltest
 
-from fraclab import NumericFailure, conjecture_scan, experiments
+from fraclab import NumericFailure, conjecture_scan, experiments, simulate
 from fraclab.experiments import (
     _PARAM_COLUMNS,
     ConfigError,
@@ -406,10 +407,12 @@ class TestRunConfig:
                 time.sleep(0.3)
             if seed.replicate in (1, 4):
                 raise NumericFailure(f"planted failure {seed.replicate}")
-            return spec.replicate(params, seed)
+            return experiments._rep_expansion_residual(params, seed)
 
         monkeypatch.setitem(
-            experiments._REGISTRY, spec.name, dataclasses.replace(spec, replicate=failing)
+            experiments._REGISTRY,
+            spec.name,
+            dataclasses.replace(spec, run=experiments._each_replicate(failing)),
         )
         messages = []
         for threads in (1, 2):
@@ -422,6 +425,60 @@ class TestRunConfig:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "replicate 1: planted failure 1" in messages[0]
+
+    def test_sigma2_kernel_failure_names_the_first_replicate(self, monkeypatch):
+        # the kernel draws each cell for a block of replicates at once; a
+        # failed embedding stops it where a replicate-at-a-time loop stops,
+        # at replicate 0, serially and pooled
+        def failing(hurst, law, m):
+            raise NumericFailure(f"planted embedding failure at m={m}")
+
+        monkeypatch.setattr(simulate, "_circulant_roots", failing)
+        messages = []
+        for threads in (1, 2):
+            cfg = ExperimentConfig(
+                experiment="consistency-rate", seed=5, replicates=6, threads=threads,
+                params=dict(TINY_PARAMS["consistency-rate"]),
+            )
+            with pytest.raises(NumericFailure) as info:
+                run_config(cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(
+            "experiment 'consistency-rate' replicate 0: planted embedding failure"
+        )
+
+    def test_block_cap_leaves_outputs_unchanged(self, monkeypatch, tmp_path):
+        # blocks of 1-2 replicates (2m = 80 doubles a row at N = 40, more
+        # beyond) write the bytes that one block of the whole chunk writes
+        sampler, blocks = experiments.sample_slow_paths, []
+
+        def recording(params, grid, seeds, **kwargs):
+            blocks.append(len(seeds))
+            return sampler(params, grid, seeds, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_slow_paths", recording)
+        cfg = ExperimentConfig(experiment="consistency-rate", seed=11, replicates=5)
+        written = []
+        for cap in (experiments._BLOCK_DOUBLES, 160):
+            monkeypatch.setattr(experiments, "_BLOCK_DOUBLES", cap)
+            csv_path, json_path = write_outputs(run_config(cfg), tmp_path / f"{cap}.csv")
+            written.append((csv_path.read_bytes(), json_path.read_bytes()))
+        cells = len(experiment_defaults("consistency-rate")["sweep.eps_log2"])
+        assert blocks[:cells] == [5] * cells
+        assert set(blocks[cells:]) == {1, 2}
+        assert written[0] == written[1]
+
+    def test_default_clt_memory_is_bounded(self):
+        # one chunk of 2000 replicates at N = 2000, drawn and whitened in
+        # blocks of at most _BLOCK_DOUBLES doubles per array
+        tracemalloc.start()
+        try:
+            run_config(ExperimentConfig(experiment="clt"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_failure_carries_replicate_context(self):
         # a zero initial state makes the fitting loss exactly flat

@@ -212,6 +212,24 @@ class TestGeneratorOperator:
             dense_quadratic(dense, u, v), abs=1e-9 * math.sqrt(quu * qvv)
         )
 
+    @pytest.mark.parametrize("hurst, size", [(0.3, 1), (0.3, 40), (0.5, 57), (0.7, 320), (0.7, 2000)])
+    def test_rows_equal_the_one_dimensional_form(self, hurst, size):
+        # rows share each batched FFT but keep their own dot products: row j
+        # is the 1-D form of row j, bit for bit
+        cov = FgnCovariance(hurst, 0.1, size)
+        u, v = np.random.default_rng(size).standard_normal((2, 7, size))
+        quu, quv = cov.quadratic_form(u), cov.quadratic_form(u, v)
+        assert quu.shape == quv.shape == (7,)
+        for j in range(7):
+            assert quu[j] == cov.quadratic_form(u[j])
+            assert quv[j] == cov.quadratic_form(u[j], v[j])
+
+    def test_row_shapes_are_checked(self):
+        cov = FgnCovariance(0.7, 1.0, 8)
+        for u, v in ((np.ones((2, 7)), None), (np.ones((2, 2, 8)), None), (np.ones((2, 8)), np.ones((3, 8)))):
+            with pytest.raises(ValueError, match="shape"):
+                cov.quadratic_form(u, v)
+
     @given(operator_cases)
     def test_solve_is_self_similar(self, case):
         cov, rng = _case(case)

@@ -140,6 +140,33 @@ class TestSampleFgn:
         np.testing.assert_array_equal(batch, loop)
         assert loop_rng.random() == batch_rng.random()
 
+    @pytest.mark.parametrize(
+        "hurst, law",
+        [
+            (0.5, 0.0),  # i.i.d. normals, no embedding
+            (0.3, 0.0),
+            (0.7, 0.0),
+            (0.7, 2.5),  # the slow component's increments
+            (0.7, 40.0),  # ... at an embedding grown past n
+            (0.7, simulate._CellSum(0.9, 4)),
+            (0.3, simulate._FastSlowPair(3.0)),
+        ],
+    )
+    def test_rows_equal_single_generator_streams(self, hurst, law):
+        # one row per generator, each drawn from its own generator and then
+        # transformed with the others: row j is the stream of generator j alone
+        n = 77
+        rows = simulate._unit_stream(
+            [np.random.default_rng(s) for s in range(6)], hurst, n, law
+        )
+        assert rows.shape[0] == 6
+        for j, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                row, simulate._unit_stream(np.random.default_rng(j), hurst, n, law)
+            )
+        with pytest.raises(ValueError, match="single generator"):
+            simulate._unit_stream([np.random.default_rng(0)], hurst, n, law, batch=2)
+
     def test_hurst_half_is_scaled_white_noise(self):
         # at H = 1/2 the increments are the raw normal stream times
         # sqrt(delta); pin the draw order, it is part of the contract
@@ -643,6 +670,18 @@ class TestSlowComponent:
         )
         with pytest.raises(NumericFailure, match=rf"m={cap}\)"):
             sample_slow_component(params, grid, SeedSpec(1))
+
+    @pytest.mark.parametrize("hurst, eps", [(0.5, 0.01), (0.7, 0.05), (0.7, 10.0)])
+    def test_paths_equal_one_seed_at_a_time(self, hurst, eps):
+        params = MultiscaleParams(sigma=1.3, hurst=hurst, epsilon=eps)
+        grid = SamplingGrid(delta=0.25, count=57)
+        seeds = [SeedSpec(9, r) for r in (4, 0, 7)]
+        paths = simulate.sample_slow_paths(params, grid, seeds, stream=3)
+        assert paths.shape == (3, 58)
+        for path, seed in zip(paths, seeds):
+            np.testing.assert_array_equal(
+                path, sample_slow_component(params, grid, seed, stream=3).values
+            )
 
     def test_deterministic_in_inputs(self):
         params = MultiscaleParams(sigma=1.3, hurst=0.3, epsilon=0.01)
