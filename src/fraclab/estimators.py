@@ -34,7 +34,7 @@ def sigma2_hat(
 
 def sigma2_hat_rows(
     values: np.ndarray, grid: SamplingGrid, hurst: float, *, cov: FgnCovariance | None = None
-):
+) -> float | np.ndarray:
     """:func:`sigma2_hat` of each row of (rows, count + 1) node values on
     ``grid``, row j equal to it bit for bit, through one batched quadratic
     form (a float for 1-D ``values``)."""

@@ -287,7 +287,9 @@ class FgnCovariance:
             )
         return w
 
-    def quadratic_form(self, u: np.ndarray, v: np.ndarray | None = None):
+    def quadratic_form(
+        self, u: np.ndarray, v: np.ndarray | None = None
+    ) -> float | np.ndarray:
         """u^T Sigma^{-1} v (v defaults to u) as
         (<L(x)^T u, L(x)^T v> - <L(y)^T u, L(y)^T v>) delta^(-2H) / x0.
 
