@@ -212,6 +212,7 @@ class FgnCovariance:
 
     Solves and quadratic forms are a few real FFTs through the generator in
     ``cholesky``; neither Sigma nor its inverse is formed, so memory is O(N).
+    Both take a vector or a (rows, N) block, with one result per row.
     """
 
     def __init__(self, hurst: float, delta: float, size: int):
@@ -248,44 +249,37 @@ class FgnCovariance:
         # Sigma_delta^{-1} = delta^(-2H) Sigma_1^{-1}
         return self.delta ** (-2.0 * self.hurst) / gen.x0
 
-    def _transposed(self, gen: _Generator, rhs: np.ndarray, axis: int = 0):
-        """L(x)^T rhs and L(y)^T rhs along ``axis``: 0, or -1 for rows."""
-        shape = [1] * rhs.ndim
-        shape[axis] = -1
-        head = [slice(None)] * rhs.ndim
-        head[axis] = slice(self.size)
-        rhs_hat = sfft.rfft(rhs, gen.fft_len, axis=axis)
-        return tuple(
-            sfft.irfft(
-                np.conj(v_hat).reshape(shape) * rhs_hat, gen.fft_len, axis=axis
-            )[tuple(head)]
-            for v_hat in (gen.x_hat, gen.y_hat)
-        )
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} rhs by four triangular-Toeplitz products (rhs may be
-        a matrix; columns are solved independently)."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 0 or rhs.shape[0] != self.size:
-            raise ValueError(
-                f"rhs has shape {rhs.shape}, expected leading dimension {self.size}"
-            )
-        gen = self.cholesky
-        shape = (-1,) + (1,) * (rhs.ndim - 1)
-        a, b = self._transposed(gen, rhs)
-        m = gen.fft_len
-        out_hat = gen.x_hat.reshape(shape) * sfft.rfft(a, m, axis=0)
-        out_hat -= gen.y_hat.reshape(shape) * sfft.rfft(b, m, axis=0)
-        return sfft.irfft(out_hat, m, axis=0)[: self.size] * self._scale(gen)
-
     def _rows(self, w: np.ndarray, name: str) -> np.ndarray:
+        """``w`` as floats if it is a finite N-vector or (rows, N) block."""
         w = np.asarray(w, dtype=float)
         if w.ndim not in (1, 2) or w.shape[-1] != self.size:
             raise ValueError(
                 f"{name} must have shape ({self.size},) or (rows, {self.size}), "
                 f"got {w.shape}"
             )
+        if not np.isfinite(w).all():
+            raise ValueError(f"{name} has non-finite entries")
         return w
+
+    def _transposed(self, gen: _Generator, rows: np.ndarray):
+        """L(x)^T w and L(y)^T w for ``rows``' vector w, or for each of its rows."""
+        rows_hat = sfft.rfft(rows, gen.fft_len)
+        return tuple(
+            sfft.irfft(np.conj(v_hat) * rows_hat, gen.fft_len)[..., : self.size]
+            for v_hat in (gen.x_hat, gen.y_hat)
+        )
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Sigma^{-1} rhs by four triangular-Toeplitz products: for a vector,
+        or for each row of a (rows, N) block, the rows sharing each batched
+        FFT."""
+        rhs = self._rows(rhs, "rhs")
+        gen = self.cholesky
+        a, b = self._transposed(gen, rhs)
+        m = gen.fft_len
+        out_hat = gen.x_hat * sfft.rfft(a, m)
+        out_hat -= gen.y_hat * sfft.rfft(b, m)
+        return sfft.irfft(out_hat, m)[..., : self.size] * self._scale(gen)
 
     def quadratic_form(
         self, u: np.ndarray, v: np.ndarray | None = None
@@ -297,16 +291,14 @@ class FgnCovariance:
         FFT, and each row's inner products are its own contiguous dot
         products, so row j equals the 1-D call on u[j] (and v[j]) bit for
         bit."""
-        gen = self.cholesky
         u = self._rows(u, "u")
-        au, bu = self._transposed(gen, u, -1)
-        if v is None:
-            av, bv = au, bu
-        else:
+        if v is not None:
             v = self._rows(v, "v")
             if v.shape != u.shape:
                 raise ValueError(f"v has shape {v.shape}, u has shape {u.shape}")
-            av, bv = self._transposed(gen, v, -1)
+        gen = self.cholesky
+        au, bu = self._transposed(gen, u)
+        av, bv = (au, bu) if v is None else self._transposed(gen, v)
         scale = self._scale(gen)
         if u.ndim == 1:
             return float((au @ av - bu @ bv) * scale)

@@ -272,21 +272,16 @@ def _draw_rows(rngs, shape: tuple) -> np.ndarray:
 
 
 def _unit_stream(
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    hurst: float,
-    n: int,
-    law: _Law = 0.0,
-    batch: int | None = None,
+    rngs: Sequence[np.random.Generator], hurst: float, n: int, law: _Law = 0.0
 ) -> np.ndarray:
-    """One exact stream of length n with a unit law (see ``_circulant_roots``):
-    unit-step fGn at law 0, the slow component's increments at law
-    eps/delta > 0, cell sums at a :class:`_CellSum`, (2, n) fast values and
-    slow increments at a :class:`_FastSlowPair`.  With ``batch``, a leading
-    batch axis of streams equal, bit for bit, to ``batch`` successive calls.
-    With a sequence of generators for ``rng``, a leading axis of one stream
-    per generator, row j equal, bit for bit, to a call with ``rng[j]``: each
-    row draws from its own generator and the rows share every step after
-    the draw, one batched inverse FFT among them.
+    """Exact streams of length n with a unit law (see ``_circulant_roots``),
+    one per generator along a leading row axis: unit-step fGn at law 0, the
+    slow component's increments at law eps/delta > 0, cell sums at a
+    :class:`_CellSum`, (2, n) fast values and slow increments at a
+    :class:`_FastSlowPair`.  Row j draws from ``rngs[j]``, in row order, so a
+    generator listed twice draws twice; the rows share every step after the
+    draw, one batched inverse FFT among them, and row j equals, bit for bit,
+    a call with ``[rngs[j]]`` made in its turn.
 
     Unit fGn at H = 1/2 reduces to i.i.d. standard normals.  Every other law
     uses the 2m-circulant embedding (Davies-Harte; Wood & Chan, JCGS 3,
@@ -298,14 +293,9 @@ def _unit_stream(
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
-    if not isinstance(rng, Sequence):
-        lead, draw = () if batch is None else (batch,), rng.standard_normal
-    elif batch is None:
-        lead, draw = (len(rng),), functools.partial(_draw_rows, rng)
-    else:
-        raise ValueError("batch needs a single generator")
+    lead = (len(rngs),)
     if hurst == 0.5 and law == 0.0:
-        return draw(lead + (n,))
+        return _draw_rows(rngs, lead + (n,))
     m = _embedding_half_size(hurst, law, n)
     roots = _circulant_roots(hurst, law, m)
     if roots.ndim == 3:  # one row of normals per component of the pair
@@ -314,7 +304,7 @@ def _unit_stream(
     # parts 0..m, then imaginary parts 1..m-1) is part of the contract.
     # irfft's kernel is the conjugate of the forward FFT's, so the imaginary
     # parts enter with a minus sign to give the forward-FFT realisation.
-    z = draw(lead + (2 * m,))
+    z = _draw_rows(rngs, lead + (2 * m,))
     z[..., 1:m] *= _SQRT_HALF
     z[..., m + 1 :] *= -_SQRT_HALF
     half = np.empty(lead + (m + 1,), dtype=complex)
@@ -339,7 +329,7 @@ def sample_fgn(
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     rng = seed.rng(stream)
-    values = grid.delta**hurst * _unit_stream(rng, hurst, grid.count)
+    values = grid.delta**hurst * _unit_stream([rng], hurst, grid.count)[0]
     return IncrementVector(grid, values)
 
 
@@ -470,7 +460,7 @@ def _fast_slow_nodes(sigma: float, hurst: float, eps: float, grid: SamplingGrid,
     ratio = eps / grid.delta
     if not (0.0 < ratio < math.inf and math.isfinite(sigma)):
         raise ValueError(f"eps/delta={ratio} and sigma={sigma} must be finite and > 0")
-    z = _unit_stream(rng, hurst, grid.count + 1, _FastSlowPair(ratio))
+    z = _unit_stream([rng], hurst, grid.count + 1, _FastSlowPair(ratio))[0]
     return sigma * z[0], (sigma * grid.delta**hurst) * z[1, :-1]
 
 
@@ -646,7 +636,7 @@ def sample_tfe_system(
     drive = (0.5 * h) * (p * y[:-1] + l21 * z[0] + l22 * z[1])
     if eta > 0.0:
         driver_rng = seed.rng(stream + STREAM_DRIVER)
-        noise = _unit_stream(driver_rng, hurst, grid.count, _CellSum(a, m))
+        noise = _unit_stream([driver_rng], hurst, grid.count, _CellSum(a, m))[0]
         drive += (math.sqrt(eta) * (1.0 - 0.5 * th) * h**hurst) * noise
     x = _ar1(a_cell, x0, drive)
 

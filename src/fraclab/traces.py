@@ -137,8 +137,9 @@ def _scan_cell(hurst: float, size: int, k_max: int) -> ConjectureCell:
     skip = size - width
     gamma = unit_autocovariance(hurst, np.arange(size + k_max))
     window = gamma[np.abs(np.arange(skip, size + k_max)[:, None] - np.arange(size))]
-    m = FgnCovariance(hurst, 1.0, size).solve(window.T).T[:, skip:]
-    mt = np.ascontiguousarray(m.T)
+    # m in the column-major layout the einsum's summation order follows
+    mt = np.ascontiguousarray(FgnCovariance(hurst, 1.0, size).solve(window)[:, skip:].T)
+    m = mt.T
     traces = np.array([np.trace(m[k : k + width]) for k in range(count)])
     pair = np.empty((count, count))
     for k in range(count):
@@ -260,10 +261,11 @@ def q_moment(
     all read from one scan cell at k_max = max(k, l).
 
     With ``samples`` >= 2, also estimates the moment from that many
-    double-length unit-step fGn streams, drawn as one batch from ``seed``'s
-    generator through the circulant engine.  ``samples`` = 0 (the default)
-    skips the estimate; one sample has no standard error and is rejected,
-    and so is a batch of more than ``SAMPLE_CAP`` samples * size.
+    double-length unit-step fGn streams, drawn in turn from ``seed``'s
+    generator as the rows of one batch through the circulant engine.
+    ``samples`` = 0 (the default) skips the estimate; one sample has no
+    standard error and is rejected, and so is a batch of more than
+    ``SAMPLE_CAP`` samples * size.
     """
     if not (0 <= k <= size and 0 <= l <= size):
         raise ValueError(f"shifts must lie in [0, {size}], got ({k}, {l})")
@@ -285,11 +287,10 @@ def q_moment(
         seed = SeedSpec(master=0)
     elif isinstance(seed, int):
         seed = SeedSpec(master=seed)
-    rng = seed.rng()
-    draws = _unit_stream(rng, hurst, 2 * size, batch=samples)
-    base_solved = FgnCovariance(hurst, 1.0, size).solve(draws[:, :size].T)
-    q_k = np.einsum("si,is->s", draws[:, k : k + size], base_solved)
-    q_l = np.einsum("si,is->s", draws[:, l : l + size], base_solved)
+    draws = _unit_stream([seed.rng()] * samples, hurst, 2 * size)
+    base_solved = FgnCovariance(hurst, 1.0, size).solve(draws[:, :size])
+    q_k = np.einsum("si,si->s", draws[:, k : k + size], base_solved)
+    q_l = np.einsum("si,si->s", draws[:, l : l + size], base_solved)
     prod = q_k * q_l
     mc = float(np.mean(prod))
     se = float(np.std(prod, ddof=1) / math.sqrt(samples))

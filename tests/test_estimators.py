@@ -21,6 +21,7 @@ from fraclab import (
     sample_fgn,
     sigma2_hat,
 )
+from fraclab.estimators import sigma2_hat_rows
 from oracles import dense_covariance, dense_quadratic
 
 
@@ -67,6 +68,16 @@ class TestSigma2Hat:
         traj = Trajectory(grid, np.zeros(11))
         with pytest.raises(ValueError, match="does not match"):
             sigma2_hat(traj, 0.7, cov=FgnCovariance(0.7, 0.1, 11))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # the row kernel raises, as sigma2_hat does on the same path, and
+        # returns no NaN
+        grid = SamplingGrid(1.0, 4)
+        values = np.array([[0.0, 1.0, 0.5, 2.0, 0.5], [0.0, bad, 1.0, 2.0, 0.5]])
+        for rows in (values, values[1:]):
+            with pytest.raises(ValueError, match="non-finite"):
+                sigma2_hat_rows(rows, grid, 0.7)
 
 
 class TestExpectedBias:

@@ -99,9 +99,9 @@ class TestFgnCovariance:
     def test_solve_accepts_matrix_rhs(self):
         rng = np.random.default_rng(12)
         cov = FgnCovariance(0.7, 1.0, 16)
-        rhs = rng.standard_normal((16, 5))
+        rhs = rng.standard_normal((5, 16))
         np.testing.assert_allclose(
-            cov.solve(rhs), dense_solve(dense_covariance(cov), rhs), rtol=1e-9, atol=1e-12
+            cov.solve(rhs), dense_solve(dense_covariance(cov), rhs.T).T, rtol=1e-9, atol=1e-12
         )
 
     def test_quadratic_form_matches_dense_oracle(self):
@@ -193,8 +193,8 @@ class TestGeneratorOperator:
     def test_solve_matches_dense_solve(self, case):
         cov, rng = _case(case)
         dense = dense_covariance(cov)
-        for rhs in (rng.standard_normal(cov.size), rng.standard_normal((cov.size, 3))):
-            want = dense_solve(dense, rhs)
+        for rhs in (rng.standard_normal(cov.size), rng.standard_normal((3, cov.size))):
+            want = dense_solve(dense, rhs.T).T
             np.testing.assert_allclose(
                 cov.solve(rhs), want, rtol=1e-9, atol=1e-9 * np.abs(want).max()
             )
@@ -225,10 +225,30 @@ class TestGeneratorOperator:
             assert quv[j] == cov.quadratic_form(u[j], v[j])
 
     def test_row_shapes_are_checked(self):
+        # solves and quadratic forms share one check: a vector of length N or
+        # a (rows, N) block of finite entries
         cov = FgnCovariance(0.7, 1.0, 8)
-        for u, v in ((np.ones((2, 7)), None), (np.ones((2, 2, 8)), None), (np.ones((2, 8)), np.ones((3, 8)))):
+        for u, v in (
+            (np.ones((2, 7)), None),
+            (np.ones((2, 2, 8)), None),
+            (np.ones((2, 8)), np.ones((3, 8))),
+        ):
             with pytest.raises(ValueError, match="shape"):
                 cov.quadratic_form(u, v)
+        # a column-major (N, k) block with k != N has the wrong row length
+        for rhs in (np.ones(7), np.ones((2, 2, 8)), np.ones((8, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                cov.solve(rhs)
+        for bad in (np.nan, np.inf, -np.inf):
+            row = np.ones(8)
+            row[3] = bad
+            for w in (row, np.stack([np.ones(8), row])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    cov.solve(w)
+                with pytest.raises(ValueError, match="non-finite"):
+                    cov.quadratic_form(w)
+                with pytest.raises(ValueError, match="non-finite"):
+                    cov.quadratic_form(np.ones(w.shape), w)
 
     @given(operator_cases)
     def test_solve_is_self_similar(self, case):
@@ -250,7 +270,7 @@ class TestGeneratorOperator:
         unit = FgnCovariance(cov.hurst, 1.0, cov.size)
         scale = cov.delta ** (-2 * cov.hurst)
         ulps = 4 * np.finfo(float).eps
-        for rhs in (rng.standard_normal(cov.size), rng.standard_normal((cov.size, 3))):
+        for rhs in (rng.standard_normal(cov.size), rng.standard_normal((3, cov.size))):
             want = scale * unit.solve(rhs)
             assert np.all(np.abs(cov.solve(rhs) - want) <= ulps * np.abs(want))
         u = rng.standard_normal(cov.size)

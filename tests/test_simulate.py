@@ -132,11 +132,14 @@ class TestSampleFgn:
 
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
     def test_batch_equals_successive_streams(self, hurst):
-        # a leading batch fills the generator in the order of successive
-        # calls and transforms each row alone: bit-identical streams
+        # a generator listed once per row draws in row order, as successive
+        # one-row calls would, and each row is transformed alone:
+        # bit-identical streams and the same generator state after
         loop_rng, batch_rng = np.random.default_rng(8), np.random.default_rng(8)
-        loop = np.stack([simulate._unit_stream(loop_rng, hurst, 100) for _ in range(300)])
-        batch = simulate._unit_stream(batch_rng, hurst, 100, batch=300)
+        loop = np.stack(
+            [simulate._unit_stream([loop_rng], hurst, 100)[0] for _ in range(300)]
+        )
+        batch = simulate._unit_stream([batch_rng] * 300, hurst, 100)
         np.testing.assert_array_equal(batch, loop)
         assert loop_rng.random() == batch_rng.random()
 
@@ -162,10 +165,8 @@ class TestSampleFgn:
         assert rows.shape[0] == 6
         for j, row in enumerate(rows):
             np.testing.assert_array_equal(
-                row, simulate._unit_stream(np.random.default_rng(j), hurst, n, law)
+                row, simulate._unit_stream([np.random.default_rng(j)], hurst, n, law)[0]
             )
-        with pytest.raises(ValueError, match="single generator"):
-            simulate._unit_stream([np.random.default_rng(0)], hurst, n, law, batch=2)
 
     def test_hurst_half_is_scaled_white_noise(self):
         # at H = 1/2 the increments are the raw normal stream times
@@ -776,7 +777,7 @@ class TestTfeSystem:
         cap = simulate._MAX_GROWN_HALF_SIZE
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailure, match=rf"substeps=4\), m={cap}\)"):
-                simulate._unit_stream(np.random.default_rng(0), 0.7, 8, law)
+                simulate._unit_stream([np.random.default_rng(0)], 0.7, 8, law)
 
     def test_no_sub_grid_arrays(self):
         # eps = 1e-5 at delta = 0.1 takes 160 000 sub-steps per cell: once
