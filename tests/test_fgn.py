@@ -228,11 +228,7 @@ class TestGeneratorOperator:
         # solves and quadratic forms share one check: a vector of length N or
         # a (rows, N) block of finite entries
         cov = FgnCovariance(0.7, 1.0, 8)
-        for u, v in (
-            (np.ones((2, 7)), None),
-            (np.ones((2, 2, 8)), None),
-            (np.ones((2, 8)), np.ones((3, 8))),
-        ):
+        for u, v in ((np.ones((2, 7)), None), (np.ones((2, 2, 8)), None), (np.ones((2, 8)), np.ones((3, 8)))):
             with pytest.raises(ValueError, match="shape"):
                 cov.quadratic_form(u, v)
         # a column-major (N, k) block with k != N has the wrong row length
