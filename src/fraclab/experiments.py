@@ -10,7 +10,9 @@ experiment's chunk kernel once per chunk; rows come out replicate-major,
 and a NumericFailure names the experiment and the replicate it stopped at.
 bias-sweep, consistency-rate and clt share the sigma2_hat kernel
 (`_sigma2_rows`), which draws and whitens each cell for a block of
-replicates at once, bit for bit as one replicate at a time would; the
+replicates at once, and score-consistency and expansion-residual share the
+fOU kernel (`_fou_rows`), which draws and scores each cell for a block of
+replicates at once, both bit for bit as one replicate at a time would; the
 other experiments run one replicate at a time (`_each_replicate`).
 clt's normality p-value is the D'Agostino-Pearson K^2 test in closed form
 (`_normality_p_value`), so no experiment imports scipy's stats subpackage.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -45,8 +48,10 @@ from .grids import (
 from .likelihood import FouLikelihood
 from .signatures import pwl_signature, shuffle_residuals, tensor_multiply
 from .simulate import (
+    _burn_in_grid,
     _embedding_half_size,
-    sample_approximate_model,
+    sample_approximate_model,  # noqa: F401  (unused; bench/tracing.py patches it here)
+    sample_approximate_paths,
     sample_slow_component,
     sample_slow_paths,
     sample_tfe_system,
@@ -321,11 +326,17 @@ _BIAS_DEFAULTS = {
 }
 
 
-# Most doubles per array of one block of the sigma2_hat kernel: a block of
-# replicates holds a few arrays of 2m doubles per row, m the embedding
-# half-size (the whitening FFT length is at most 2m), so this bounds a
-# chunk's transient memory at a few MB whatever its replicate count.
+# Most doubles per array of one block of the sigma2_hat and fOU kernels: a
+# block of replicates holds a few arrays of 2m doubles per row, m the
+# embedding half-size of its draw (the Toeplitz FFT length is at most 2m), so
+# this bounds a chunk's transient memory at a few MB whatever its replicate
+# count.
 _BLOCK_DOUBLES = 2**18
+
+
+def _block_rows(m: int) -> int:
+    """Replicates per block of a cell whose draw embeds at half-size m."""
+    return max(1, _BLOCK_DOUBLES // (2 * m))
 
 
 def _sigma2_rows(
@@ -346,7 +357,7 @@ def _sigma2_rows(
         law = MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps)
         with _replicate_context(name, replicates[0]):
             m = _embedding_half_size(hurst, eps / grid.delta, grid.count)
-        rows = max(1, _BLOCK_DOUBLES // (2 * m))
+        rows = _block_rows(m)
         for start in range(0, len(replicates), rows):
             block = replicates[start : start + rows]
             with _replicate_context(name, block[0]):
@@ -555,38 +566,64 @@ _SCORE_DEFAULTS = {
 }
 
 
-def _fou_cells(name: str, params: dict, seed: SeedSpec, hursts):
-    """For each (hurst, delta) in hursts x sweep.deltas, the k-th drawn from
-    stream k: an approximate-model path, its likelihood context, and the
-    parameter columns of its rows."""
+def _fou_rows(
+    name: str,
+    params: dict,
+    master: int,
+    replicates: range,
+    hursts,
+    statistics: tuple,
+    evaluate: Callable,
+) -> list[ResultRow]:
+    """The statistics of approximate-model paths at each (hurst, delta) in
+    hursts x sweep.deltas for a chunk of replicates, cell k of replicate r
+    drawn from SeedSpec(master, r) stream k.  Each cell draws blocks of
+    replicates at once (``sample_approximate_paths``) and scores a block
+    with one ``evaluate(lik, paths, theta, sigma)``, which gives one array
+    per statistic, one value per path.  A failure depends on the cell alone,
+    so it names the block's first replicate, where a replicate-at-a-time
+    loop would have stopped."""
     theta = params["model.theta"]
     sigma = params["model.sigma"]
     cells = [(hurst, delta) for hurst in hursts for delta in params["sweep.deltas"]]
-    for stream, (hurst, delta) in enumerate(cells):
+    values = np.empty((len(replicates), len(cells), len(statistics)))
+    for k, (hurst, delta) in enumerate(cells):
         grid = make_grid(delta, params["grid.horizon"])
-        x = sample_approximate_model(
-            FouParams(theta=theta, sigma=sigma, hurst=hurst), grid, seed, stream=stream
-        )
-        common = dict(
+        law = FouParams(theta=theta, sigma=sigma, hurst=hurst)
+        lik = FouLikelihood(hurst, grid)
+        with _replicate_context(name, replicates[0]):
+            m = _embedding_half_size(hurst, 0.0, _burn_in_grid(law, grid).count)
+        rows = _block_rows(m)
+        for start in range(0, len(replicates), rows):
+            block = replicates[start : start + rows]
+            with _replicate_context(name, block[0]):
+                seeds = [SeedSpec(master, r) for r in block]
+                paths = sample_approximate_paths(law, grid, seeds, stream=k)
+                values[start : start + rows, k] = np.transpose(evaluate(lik, paths, theta, sigma))
+    return [
+        ResultRow(
             experiment=name,
-            replicate=seed.replicate,
+            replicate=r,
+            statistic=statistic,
+            value=value,
             delta=delta,
             hurst=hurst,
             theta=theta,
             sigma=sigma,
         )
-        yield x, FouLikelihood(hurst, grid), common
+        for r, row in zip(replicates, values.tolist())
+        for (hurst, delta), cell in zip(cells, row)
+        for statistic, value in zip(statistics, cell)
+    ]
 
 
-def _rep_score_consistency(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    theta = params["model.theta"]
-    sigma = params["model.sigma"]
-    rows = []
-    for x, lik, common in _fou_cells("score-consistency", params, seed, params["sweep.hursts"]):
-        sc = lik.score(x, theta, sigma)
-        rows.append(ResultRow(statistic="score_theta", value=sc.d_theta, **common))
-        rows.append(ResultRow(statistic="score_sigma", value=sc.d_sigma, **common))
-    return rows
+def _run_score_consistency(
+    name: str, params: dict, master: int, replicates: range
+) -> list[ResultRow]:
+    return _fou_rows(
+        name, params, master, replicates, params["sweep.hursts"],
+        ("score_theta", "score_sigma"), FouLikelihood.score_rows,
+    )
 
 
 def _sum_score_consistency(params: dict, rows: list[ResultRow]) -> dict:
@@ -621,18 +658,17 @@ _EXPANSION_DEFAULTS = {
 }
 
 
-def _rep_expansion_residual(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    theta = params["model.theta"]
-    sigma = params["model.sigma"]
-    cells = _fou_cells("expansion-residual", params, seed, (params["model.hurst"],))
-    return [
-        ResultRow(
-            statistic="abs_residual",
-            value=abs(lik.expansion_terms(x, theta, sigma).residual),
-            **common,
-        )
-        for x, lik, common in cells
-    ]
+def _abs_residual(lik: FouLikelihood, paths: np.ndarray, theta: float, sigma: float):
+    return (np.abs(lik.expansion_rows(paths, theta, sigma)[3]),)
+
+
+def _run_expansion_residual(
+    name: str, params: dict, master: int, replicates: range
+) -> list[ResultRow]:
+    return _fou_rows(
+        name, params, master, replicates, (params["model.hurst"],),
+        ("abs_residual",), _abs_residual,
+    )
 
 
 def _sum_expansion_residual(params: dict, rows: list[ResultRow]) -> dict:
@@ -1108,11 +1144,11 @@ _REGISTRY = {
         _Experiment("clt", _CLT_DEFAULTS, 2000, _run_clt, _sum_clt),
         _Experiment(
             "score-consistency", _SCORE_DEFAULTS, 200,
-            _each_replicate(_rep_score_consistency), _sum_score_consistency,
+            _run_score_consistency, _sum_score_consistency,
         ),
         _Experiment(
             "expansion-residual", _EXPANSION_DEFAULTS, 50,
-            _each_replicate(_rep_expansion_residual), _sum_expansion_residual,
+            _run_expansion_residual, _sum_expansion_residual,
         ),
         _Experiment(
             "hurst-sweep", _HURST_DEFAULTS, 200, _each_replicate(_rep_hurst_sweep), _sum_hurst_sweep
@@ -1178,7 +1214,10 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
         chunks = min(replicates, 4 * config.threads)
         parts = [range(replicates * c // chunks, replicates * (c + 1) // chunks)
                  for c in range(chunks)]
-        with ProcessPoolExecutor(max_workers=min(config.threads, chunks)) as pool:
+        # forked workers inherit what the parent has cached; pinned, since
+        # Python 3.14 makes forkserver the default on Linux
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=min(config.threads, chunks), mp_context=fork) as pool:
             rows = [row for part in pool.map(partial(_run_chunk, *job), parts) for row in part]
     else:
         rows = _run_chunk(*job, range(replicates))

@@ -299,10 +299,7 @@ class FgnCovariance:
         gen = self.cholesky
         au, bu = self._transposed(gen, u)
         av, bv = (au, bu) if v is None else self._transposed(gen, v)
-        scale = self._scale(gen)
-        if u.ndim == 1:
-            return float((au @ av - bu @ bv) * scale)
-        return np.array([(a @ c - b @ d) * scale for a, b, c, d in zip(au, bu, av, bv)])
+        return (_row_dots(au, av) - _row_dots(bu, bv)) * self._scale(gen)
 
     def inverse_spectral_norm(self) -> float:
         """||Sigma^{-1}||_2 = 1 / lambda_min(Sigma), one path at every N:
@@ -320,6 +317,15 @@ class FgnCovariance:
             else:
                 lo = mid
         return 1.0 / (self.delta ** (2.0 * self.hurst) * 0.5 * (lo + hi))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """a @ b as a float for vectors; for (rows, N) arrays one value per row,
+    each its own contiguous dot a[j] @ b[j], so that row j equals the 1-D
+    call bit for bit (a reduction over the block would not)."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.array([u @ v for u, v in zip(a, b)])
 
 
 def _checked_covariance(hurst: float, grid, cov: FgnCovariance | None) -> FgnCovariance:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import phi_ratio
-from .fgn import FgnCovariance, _checked_covariance
-from .grids import FouParams, Trajectory
+from .fgn import FgnCovariance, _checked_covariance, _row_dots
+from .grids import FouParams, Trajectory, _require_finite
 
 __all__ = [
     "FouLikelihood",
@@ -92,44 +92,77 @@ class FouLikelihood:
             raise ValueError("trajectory grid does not match the likelihood grid")
         return trajectory.values
 
-    @staticmethod
-    def _check(theta: float, sigma: float) -> None:
+    def _node_rows(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as floats if they are count + 1 finite node values, or a
+        (rows, count + 1) block of them."""
+        values = np.asarray(values, dtype=float)
+        nodes = self.grid.count + 1
+        if values.ndim not in (1, 2) or values.shape[-1] != nodes:
+            raise ValueError(
+                f"node values must have shape ({nodes},) or (rows, {nodes}), got {values.shape}"
+            )
+        _require_finite(values, "trajectory values")
+        return values
+
+    def _phi(self, theta: float, sigma: float = 1.0) -> float:
+        """phi(theta delta) once theta and sigma are checked; ValueError
+        unless sigma^2 phi^2 > 0, which every evaluation divides by (the
+        profiled ones, with sigma = 1, by phi^2)."""
         if theta < 0 or not np.isfinite(theta):
             raise ValueError(f"theta must be >= 0, got {theta}")
         if sigma <= 0 or not np.isfinite(sigma):
             raise ValueError(f"sigma must be positive, got {sigma}")
+        phi = phi_ratio(theta, self.grid.delta)
+        if not sigma * sigma * phi * phi > 0:
+            raise ValueError(
+                f"sigma^2 phi^2 underflows to 0 at theta={theta}, sigma={sigma}, "
+                f"delta={self.grid.delta}"
+            )
+        return phi
 
     def _quasi_increment(self, x: np.ndarray, theta: float) -> np.ndarray:
         decay = math.exp(-theta * self.grid.delta)
-        return x[1:] - decay * x[:-1]
+        return x[..., 1:] - decay * x[..., :-1]
 
     # -- evaluations -----------------------------------------------------
+    #
+    # Each ``*_rows`` method takes node values, count + 1 of them or a
+    # (rows, count + 1) block, and gives a float per statistic or an array
+    # of one per row.  The rows share each batched Toeplitz transform and
+    # take their own contiguous dots, so row j equals, bit for bit, the call
+    # on values[j], which is what the Trajectory methods make.
 
     def log_likelihood(self, trajectory: Trajectory, theta: float, sigma: float) -> float:
-        self._check(theta, sigma)
-        x = self._values(trajectory)
+        return self.log_likelihood_rows(self._values(trajectory), theta, sigma)
+
+    def log_likelihood_rows(self, values: np.ndarray, theta: float, sigma: float):
+        """ell at (theta, sigma) of each row of node values."""
+        phi = self._phi(theta, sigma)
+        x = self._node_rows(values)
         n = self.grid.count
-        phi = phi_ratio(theta, self.grid.delta)
         quad = self.cov.quadratic_form(self._quasi_increment(x, theta))
         return -quad / (2.0 * sigma * sigma * phi * phi) - n * math.log(sigma * phi)
 
     def score(self, trajectory: Trajectory, theta: float, sigma: float) -> ScoreVector:
         """Exact derivatives of delta * ell in theta and sigma."""
-        self._check(theta, sigma)
-        x = self._values(trajectory)
+        return ScoreVector(*self.score_rows(self._values(trajectory), theta, sigma))
+
+    def score_rows(self, values: np.ndarray, theta: float, sigma: float):
+        """(d_theta, d_sigma) of :meth:`score` for each row of node values."""
+        phi = self._phi(theta, sigma)
+        x = self._node_rows(values)
         n = self.grid.count
         delta = self.grid.delta
         horizon = self.grid.horizon
         u = theta * delta
-        phi = phi_ratio(theta, delta)
         dphi_dtheta = delta * _phi_prime(u)
         decay = math.exp(-u)
 
-        quasi = x[1:] - decay * x[:-1]
+        quasi = self._quasi_increment(x, theta)
         solved = self.cov.solve(quasi)
-        quad = float(quasi @ solved)
+        quad = _row_dots(quasi, solved)
         # d/dtheta of the quasi-increment is delta * e^-u * (lagged values)
-        cross = delta * decay * float(x[:-1] @ solved)
+        cross = delta * decay * _row_dots(x[..., :-1], solved)
 
         sig2phi2 = sigma * sigma * phi * phi
         d_theta = (
@@ -138,7 +171,7 @@ class FouLikelihood:
             - delta * cross / sig2phi2
         )
         d_sigma = (horizon / sigma) * (quad / (n * sig2phi2) - 1.0)
-        return ScoreVector(d_theta=d_theta, d_sigma=d_sigma)
+        return d_theta, d_sigma
 
     def expansion_terms(
         self, trajectory: Trajectory, theta: float, sigma: float
@@ -152,17 +185,22 @@ class FouLikelihood:
         with S = Sigma^{-1}, dx the plain increments and xl the lagged node
         values (x_0 .. x_{N-1}); residual = ell - ell0/delta - ell1 = O(delta).
         """
-        self._check(theta, sigma)
-        x = self._values(trajectory)
+        return ExpansionTerms(*self.expansion_rows(self._values(trajectory), theta, sigma))
+
+    def expansion_rows(self, values: np.ndarray, theta: float, sigma: float):
+        """(value, ell0, ell1, residual) of :meth:`expansion_terms` for each
+        row of node values."""
+        value = self.log_likelihood_rows(values, theta, sigma)
+        x = self._node_rows(values)
         n = self.grid.count
         horizon = self.grid.horizon
         sig2 = sigma * sigma
 
-        dx = np.diff(x)
-        lag = x[:-1]
+        dx = np.diff(x, axis=-1)
+        lag = x[..., :-1]
         solved_dx = self.cov.solve(dx)
-        a1 = float(dx @ solved_dx)
-        a2 = float(lag @ solved_dx)
+        a1 = _row_dots(dx, solved_dx)
+        a2 = _row_dots(lag, solved_dx)
         a3 = self.cov.quadratic_form(lag)
 
         ell0 = -horizon * a1 / (2.0 * sig2 * n) - horizon * math.log(sigma)
@@ -172,21 +210,13 @@ class FouLikelihood:
             / (2.0 * sig2)
             * (a1 / n + 2.0 * a2 / n + theta * horizon * a3 / (n * n) - sig2)
         )
-        value = self.log_likelihood(trajectory, theta, sigma)
-        return ExpansionTerms(
-            value=value,
-            ell0=ell0,
-            ell1=ell1,
-            residual=value - ell0 / self.grid.delta - ell1,
-        )
+        return value, ell0, ell1, value - ell0 / self.grid.delta - ell1
 
     def profile_sigma2(self, trajectory: Trajectory, theta: float) -> float:
         """sigma^2 maximising ell at fixed theta:
         (D_theta x)' Sigma^{-1} (D_theta x) / (N phi^2)."""
-        if theta < 0 or not np.isfinite(theta):
-            raise ValueError(f"theta must be >= 0, got {theta}")
+        phi = self._phi(theta)
         x = self._values(trajectory)
-        phi = phi_ratio(theta, self.grid.delta)
         quad = self.cov.quadratic_form(self._quasi_increment(x, theta))
         return quad / (self.grid.count * phi * phi)
 
@@ -229,9 +259,10 @@ class FouLikelihood:
         a = math.exp(-theta_hat * delta)
         q_min = q_hh - 2.0 * a * q_hl + a * a * q_ll
         phi = phi_ratio(theta_hat, delta)
-        sigma2 = q_min / (n * phi * phi)
-        if not sigma2 > 0:  # also catches NaN from overflowing data
-            raise ValueError("degenerate data: profiled variance is not positive")
+        # phi^2 underflows at a huge upper bound: the variance is then unbounded
+        sigma2 = q_min / (n * phi * phi) if phi * phi > 0 else math.inf
+        if not 0 < sigma2 < math.inf:  # also catches NaN from overflowing data
+            raise ValueError("degenerate data: profiled variance is not positive and finite")
         sigma_hat = math.sqrt(sigma2)
         loglik = self.log_likelihood(trajectory, theta_hat, sigma_hat)
         return ProfileMleResult(

@@ -53,6 +53,7 @@ __all__ = [
     "sample_fgn",
     "sample_stationary_fou",
     "sample_approximate_model",
+    "sample_approximate_paths",
     "PhysicalFbmSample",
     "sample_physical_fbm",
     "sample_slow_component",
@@ -334,14 +335,17 @@ def sample_fgn(
 
 
 def _ar1(decay: float, start: float, drive: np.ndarray) -> np.ndarray:
-    """y_0 = start, y_k = decay y_(k-1) + drive_(k-1): a doubling scan whose
-    pass at shift s adds decay^s y_(k-s), so y_k then sums its last 2s terms;
-    it stops once s reaches len(y) or decay^s underflows to 0."""
-    y = np.empty(len(drive) + 1)
-    y[0], y[1:] = start, drive
-    s = 1
-    while s < y.size and (power := decay**s) != 0.0:
-        y[s:] += power * y[:-s]
+    """y_0 = start, y_k = decay y_(k-1) + drive_(k-1) along the last axis of
+    ``drive``, for a vector or for each row of a (rows, n) block at once: a
+    doubling scan whose pass at shift s
+    adds decay^s y_(k-s), so y_k then sums its last 2s terms; it stops once
+    s reaches n + 1 or decay^s underflows to 0.  Every step is elementwise,
+    so row j equals the 1-D call on ``drive[j]`` bit for bit."""
+    y = np.empty(drive.shape[:-1] + (drive.shape[-1] + 1,))
+    y[..., 0], y[..., 1:] = start, drive
+    n, s = y.shape[-1], 1
+    while s < n and (power := decay**s) != 0.0:
+        y[..., s:] += power * y[..., :-s]
         s *= 2
     return y
 
@@ -413,27 +417,60 @@ def sample_approximate_model(
     below 1e-8 is prepended and driven by the *same* fractional stream, so
     the noise memory across the observed window is the stationary one
     (ValueError above _MAX_BURN_IN_CELLS).  At theta = 0 the chain is
-    sigma * B^H from ``initial`` (default 0).
+    sigma * B^H from ``initial`` (default 0).  It is the one-row case of
+    :func:`sample_approximate_paths`.
     """
-    theta, sigma, hurst = params.theta, params.sigma, params.hurst
-    delta = grid.delta
-    u = theta * delta
-    phi = 1.0 if u == 0.0 else -math.expm1(-u) / u
+    paths = sample_approximate_paths(params, grid, [seed], stream=stream, initial=initial)
+    return Trajectory(grid, paths[0])
 
-    if theta == 0.0 or initial is not None:
-        burn = 0
-        x0 = 0.0 if initial is None else float(initial)
-    else:
-        burn = _BURN_IN_DECADES / u
+
+def _burn_in_grid(
+    params: FouParams, grid: SamplingGrid, initial: float | None = None
+) -> SamplingGrid:
+    """The grid the approximate model draws its fGn on: ``grid``'s cells
+    after a burn-in, which is taken at theta > 0 with ``initial=None`` and
+    is ceil(_BURN_IN_DECADES / (theta delta)) cells (ValueError above
+    _MAX_BURN_IN_CELLS)."""
+    burn = 0
+    if params.theta != 0.0 and initial is None:
+        u = params.theta * grid.delta  # 0 only by underflow
+        burn = _BURN_IN_DECADES / u if u > 0.0 else math.inf
         if not burn <= _MAX_BURN_IN_CELLS:
             raise ValueError(f"{burn:.3g} burn-in cells exceed the cap of {_MAX_BURN_IN_CELLS}")
         burn = math.ceil(burn)
-        x0 = 0.0
-    extended = SamplingGrid(delta=delta, count=burn + grid.count)
-    db = sample_fgn(hurst, extended, seed, stream=stream).values
+    return SamplingGrid(delta=grid.delta, count=burn + grid.count)
 
-    path = _ar1(math.exp(-u), x0, sigma * phi * db)
-    return Trajectory(grid, path[burn:].copy())
+
+def sample_approximate_paths(
+    params: FouParams,
+    grid: SamplingGrid,
+    seeds: Sequence[SeedSpec],
+    *,
+    stream: int = STREAM_DRIVER,
+    initial: float | None = None,
+) -> np.ndarray:
+    """(len(seeds), count + 1) node values of the approximate model, row j
+    equal, bit for bit, to ``sample_approximate_model(params, grid,
+    seeds[j], stream=stream, initial=initial).values``: each row draws its
+    fGn, burn-in included, from its own seed's stream, the rows share one
+    batched transform, and one recursion runs along every row.  Its memory
+    is a few arrays of len(seeds) rows of 2m doubles, m the embedding
+    half-size of the ``_burn_in_grid`` count."""
+    theta, sigma, hurst = params.theta, params.sigma, params.hurst
+    u = theta * grid.delta
+    phi = 1.0 if u == 0.0 else -math.expm1(-u) / u
+    n = _burn_in_grid(params, grid, initial).count
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    rngs = [seed.rng(stream) for seed in seeds]
+    drive = _unit_stream(rngs, hurst, n)
+    drive *= grid.delta**hurst
+    _require_finite(drive, "increment values")
+    drive *= sigma * phi
+    x0 = 0.0 if initial is None else float(initial)
+    paths = _ar1(math.exp(-u), x0, drive)[:, n - grid.count :]
+    _require_finite(paths, "trajectory values")
+    return paths
 
 
 @dataclass(frozen=True)

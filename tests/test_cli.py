@@ -396,6 +396,21 @@ class TestExperimentCommand:
         assert "config error" in err and "'sweep.eps_log2'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("score-consistency", "model.sigma", "1e-300"),
+            ("expansion-residual", "model.theta", "1e300"),
+        ],
+    )
+    def test_underflowing_likelihood_scale_exits_2(self, capsys, tmp_path, experiment, key, value):
+        # sigma^2 phi^2 underflows to 0: refused, not divided by
+        cfg = tmp_path / "fou.cfg"
+        cfg.write_text(f"experiment = {experiment}\nreplicates = 1\n{key} = {value}\n")
+        rc, out, err = run_cli(capsys, "experiment", str(cfg))
+        assert rc == 2 and out == ""
+        assert "config error" in err and "underflows to 0" in err
+
     def test_oversized_signature_exits_2(self, capsys, tmp_path):
         # 1000**3 entries a level: refused before anything is allocated
         cfg = tmp_path / "sig.cfg"

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import normaltest
 
-from fraclab import NumericFailure, conjecture_scan, experiments, simulate
+from fraclab import NumericFailure, conjecture_scan, experiments, fgn, simulate
 from fraclab.experiments import (
     _PARAM_COLUMNS,
     ConfigError,
@@ -381,12 +381,14 @@ class TestRunConfig:
 
     def test_workers_capped_at_chunk_count(self, monkeypatch):
         # the pool forks all its workers up front: never more than the chunks
-        sizes = []
+        # and with the fork start method, whatever the platform's default
+        sizes, methods = [], []
 
         class SpyPool(experiments.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
+            def __init__(self, max_workers=None, mp_context=None, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+                methods.append(mp_context.get_start_method())
+                super().__init__(max_workers=max_workers, mp_context=mp_context, **kwargs)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
         cfg = ExperimentConfig(
@@ -395,19 +397,20 @@ class TestRunConfig:
         )
         result = run_config(cfg)
         assert sizes == [2]
+        assert methods == ["fork"]
         assert [r.replicate for r in result.rows] == sorted(r.replicate for r in result.rows)
 
     def test_parallel_failure_is_the_lowest_failing_replicate(self, monkeypatch):
         # replicate 1 fails late and replicate 4 at once; like the serial loop,
         # the pooled run must report replicate 1 (patched before the fork)
-        spec = experiments._REGISTRY["expansion-residual"]
+        spec = experiments._REGISTRY["signature-check"]
 
         def failing(params, seed):
             if seed.replicate == 1:
                 time.sleep(0.3)
             if seed.replicate in (1, 4):
                 raise NumericFailure(f"planted failure {seed.replicate}")
-            return experiments._rep_expansion_residual(params, seed)
+            return experiments._rep_signature_check(params, seed)
 
         monkeypatch.setitem(
             experiments._REGISTRY,
@@ -418,7 +421,7 @@ class TestRunConfig:
         for threads in (1, 2):
             cfg = ExperimentConfig(
                 experiment=spec.name, seed=5, replicates=6, threads=threads,
-                params=dict(CHEAP_EXPANSION),
+                params=dict(TINY_PARAMS[spec.name]),
             )
             with pytest.raises(NumericFailure) as info:
                 run_config(cfg)
@@ -468,6 +471,72 @@ class TestRunConfig:
         assert blocks[:cells] == [5] * cells
         assert set(blocks[cells:]) == {1, 2}
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("name", ["score-consistency", "expansion-residual"])
+    def test_fou_block_cap_leaves_outputs_unchanged(self, name, monkeypatch, tmp_path):
+        # blocks of 1-2 replicates (2m = 480-600 doubles a row at delta =
+        # 0.1, more beyond) write the bytes that one block of the chunk writes
+        sampler, blocks = experiments.sample_approximate_paths, []
+
+        def recording(params, grid, seeds, **kwargs):
+            blocks.append(len(seeds))
+            return sampler(params, grid, seeds, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_approximate_paths", recording)
+        cfg = ExperimentConfig(experiment=name, seed=11, replicates=5)
+        written = []
+        for cap in (experiments._BLOCK_DOUBLES, 1200):
+            monkeypatch.setattr(experiments, "_BLOCK_DOUBLES", cap)
+            csv_path, json_path = write_outputs(run_config(cfg), tmp_path / f"{cap}.csv")
+            written.append((csv_path.read_bytes(), json_path.read_bytes()))
+        params = experiment_defaults(name)
+        cells = len(params.get("sweep.hursts", (None,))) * len(params["sweep.deltas"])
+        assert blocks[:cells] == [5] * cells
+        assert set(blocks[cells:]) == {1, 2}
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("name", ["score-consistency", "expansion-residual"])
+    def test_fou_kernel_failure_names_the_first_replicate(self, name, monkeypatch):
+        # each cell is drawn and scored for a block of replicates at once; a
+        # covariance that cannot be factored stops the first block, at
+        # replicate 0, serially and pooled
+        def failing(hurst, size):
+            raise NumericFailure(f"planted generator failure at N={size}")
+
+        monkeypatch.setattr(fgn, "_unit_generator", failing)
+        messages = []
+        for threads in (1, 2):
+            cfg = ExperimentConfig(
+                experiment=name, seed=5, replicates=6, threads=threads,
+                params=dict(TINY_PARAMS[name]),
+            )
+            with pytest.raises(NumericFailure) as info:
+                run_config(cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(
+            f"experiment '{name}' replicate 0: planted generator failure"
+        )
+
+    def test_fou_kernel_failure_names_the_block_not_the_replicate(self, monkeypatch):
+        # serially, in blocks of 2: a failure drawing replicate 3's block
+        # names replicate 2, the block's first
+        sampler = experiments.sample_approximate_paths
+
+        def failing(params, grid, seeds, **kwargs):
+            if any(seed.replicate == 3 for seed in seeds):
+                raise NumericFailure("planted draw failure")
+            return sampler(params, grid, seeds, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_approximate_paths", failing)
+        monkeypatch.setattr(experiments, "_BLOCK_DOUBLES", 800)
+        cfg = ExperimentConfig(
+            experiment="score-consistency", seed=5, replicates=6,
+            params=dict(TINY_PARAMS["score-consistency"]),
+        )
+        message = "^experiment 'score-consistency' replicate 2: planted"
+        with pytest.raises(NumericFailure, match=message):
+            run_config(cfg)
 
     def test_default_clt_memory_is_bounded(self):
         # one chunk of 2000 replicates at N = 2000, drawn and whitened in

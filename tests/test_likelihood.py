@@ -24,6 +24,7 @@ from fraclab import (
     sample_approximate_model,
     score,
 )
+from fraclab.simulate import sample_approximate_paths
 from oracles import central_difference, dense_covariance, gaussian_loglik
 
 
@@ -93,6 +94,64 @@ class TestLogLikelihood:
         ctx = FouLikelihood(0.7, other)
         with pytest.raises(ValueError, match="grid"):
             ctx.log_likelihood(traj, 1.0, 1.0)
+
+    def test_underflowing_scale_rejected(self):
+        # every evaluation divides by sigma^2 phi^2 (the profiled ones by
+        # phi^2): refused when it underflows to 0, never a division by zero
+        # or, for a block of rows, a silent inf
+        grid = SamplingGrid(delta=0.1, count=20)
+        traj = Trajectory(grid, (-1.0) ** np.arange(21))
+        ctx = FouLikelihood(0.7, grid)
+        for theta, sigma in ((1.0, 1e-300), (1e300, 1.0)):
+            for evaluate in (ctx.log_likelihood, ctx.score, ctx.expansion_terms):
+                with pytest.raises(ValueError, match="underflows"):
+                    evaluate(traj, theta, sigma)
+            for evaluate in (ctx.log_likelihood_rows, ctx.score_rows, ctx.expansion_rows):
+                with pytest.raises(ValueError, match="underflows"):
+                    evaluate(np.stack([traj.values] * 3), theta, sigma)
+        with pytest.raises(ValueError, match="underflows"):
+            ctx.profile_sigma2(traj, 1e300)
+        # alternating data put the profiled optimum at the upper bound
+        with pytest.raises(ValueError, match="degenerate"):
+            ctx.profile_mle(traj, theta_bounds=(0.0, 1e300))
+
+
+class TestRows:
+    """The block evaluations of the fOU experiments: row j equals the
+    Trajectory method on row j bit for bit."""
+
+    @pytest.mark.parametrize("hurst, count", [(0.3, 40), (0.5, 57), (0.7, 200), (0.7, 801)])
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_rows_equal_one_row_calls(self, hurst, count, theta):
+        grid = SamplingGrid(delta=0.05, count=count)
+        params = FouParams(theta=1.0, sigma=1.0, hurst=hurst)
+        seeds = [SeedSpec(21, r) for r in range(5)]
+        paths = sample_approximate_paths(params, grid, seeds)
+        ctx = FouLikelihood(hurst, grid)
+        sigma = 1.3
+        d_theta, d_sigma = ctx.score_rows(paths, theta, sigma)
+        value, ell0, ell1, residual = ctx.expansion_rows(paths, theta, sigma)
+        loglik = ctx.log_likelihood_rows(paths, theta, sigma)
+        for j, path in enumerate(paths):
+            traj = Trajectory(grid, path.copy())
+            s = ctx.score(traj, theta, sigma)
+            e = ctx.expansion_terms(traj, theta, sigma)
+            assert (d_theta[j], d_sigma[j]) == (s.d_theta, s.d_sigma)
+            assert (value[j], ell0[j], ell1[j], residual[j]) == (
+                e.value, e.ell0, e.ell1, e.residual
+            )
+            assert loglik[j] == ctx.log_likelihood(traj, theta, sigma)
+
+    def test_node_values_are_checked(self):
+        grid = SamplingGrid(delta=0.1, count=10)
+        ctx = FouLikelihood(0.7, grid)
+        for bad in (np.zeros(10), np.zeros((2, 12)), np.zeros((2, 2, 11))):
+            with pytest.raises(ValueError, match="shape"):
+                ctx.score_rows(bad, 1.0, 1.0)
+        rows = np.zeros((2, 11))
+        rows[1, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ctx.expansion_rows(rows, 1.0, 1.0)
 
 
 class TestScore:

@@ -311,7 +311,7 @@ class TestApproximateModel:
         # start needs no burn-in
         grid = SamplingGrid(delta=0.01, count=10)
         cap = simulate._MAX_BURN_IN_CELLS
-        for theta in (1e-9, 1e-300):
+        for theta in (1e-9, 1e-300, 5e-324):  # theta * delta underflows to 0 at the last
             params = FouParams(theta=theta, sigma=1.0, hurst=0.7)
             with pytest.raises(ValueError, match=rf"cap of {cap}"):
                 sample_approximate_model(params, grid, SeedSpec(0))
@@ -320,6 +320,35 @@ class TestApproximateModel:
         theta = 19.0 / (cap * grid.delta)
         path = sample_approximate_model(FouParams(theta, 1.0, 0.5), grid, SeedSpec(0))
         assert path.values.shape == (11,)
+
+    @staticmethod
+    def one_replicate_chain(params, grid, seed, stream, initial):
+        """The chain as one replicate's fGn draw and 1-D recursion build it."""
+        u = params.theta * grid.delta
+        phi = 1.0 if u == 0.0 else -math.expm1(-u) / u
+        burn = 0 if u == 0.0 or initial is not None else math.ceil(19.0 / u)
+        extended = SamplingGrid(delta=grid.delta, count=burn + grid.count)
+        db = sample_fgn(params.hurst, extended, seed, stream=stream).values
+        x0 = 0.0 if initial is None else initial
+        return simulate._ar1(math.exp(-u), x0, params.sigma * phi * db)[burn:]
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("theta, initial", [(1.3, None), (0.0, None), (0.8, -0.4)])
+    def test_paths_equal_one_replicate_at_a_time(self, hurst, theta, initial):
+        # each row draws from its own seed (one listed twice draws the same
+        # path) and equals the one-row sampler and the one-replicate chain
+        # bit for bit, burn-in, theta = 0 and an explicit start alike
+        params = FouParams(theta=theta, sigma=0.9, hurst=hurst)
+        grid = SamplingGrid(delta=0.1, count=57)
+        seeds = [SeedSpec(9, r) for r in (4, 0, 7, 4)]
+        paths = simulate.sample_approximate_paths(params, grid, seeds, stream=5, initial=initial)
+        assert paths.shape == (4, 58)
+        for path, seed in zip(paths, seeds):
+            one = sample_approximate_model(params, grid, seed, stream=5, initial=initial)
+            np.testing.assert_array_equal(path, one.values)
+            np.testing.assert_array_equal(
+                path, self.one_replicate_chain(params, grid, seed, 5, initial)
+            )
 
 
 class TestAr1:
@@ -355,6 +384,15 @@ class TestAr1:
 
     def test_empty_drive_is_the_start(self):
         np.testing.assert_array_equal(simulate._ar1(0.5, 2.5, np.empty(0)), [2.5])
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5, 0.999, 1.0])
+    def test_rows_equal_one_row_scans(self, decay):
+        # one scan along the last axis of a (rows, n) drive
+        drive = np.random.default_rng(3).standard_normal((5, 333))
+        got = simulate._ar1(decay, 0.25, drive)
+        assert got.shape == (5, 334)
+        for row, one in zip(got, drive):
+            np.testing.assert_array_equal(row, simulate._ar1(decay, 0.25, one))
 
 
 class TestStationaryFou:
