@@ -337,10 +337,10 @@ def sample_fgn(
 def _ar1(decay: float, start: float, drive: np.ndarray) -> np.ndarray:
     """y_0 = start, y_k = decay y_(k-1) + drive_(k-1) along the last axis of
     ``drive``, for a vector or for each row of a (rows, n) block at once: a
-    doubling scan whose pass at shift s
-    adds decay^s y_(k-s), so y_k then sums its last 2s terms; it stops once
-    s reaches n + 1 or decay^s underflows to 0.  Every step is elementwise,
-    so row j equals the 1-D call on ``drive[j]`` bit for bit."""
+    doubling scan whose pass at shift s adds decay^s y_(k-s), so y_k then
+    sums its last 2s terms; it stops once s reaches n + 1 or decay^s
+    underflows to 0.  Every step is elementwise, so row j equals the 1-D
+    call on ``drive[j]`` bit for bit."""
     y = np.empty(drive.shape[:-1] + (drive.shape[-1] + 1,))
     y[..., 0], y[..., 1:] = start, drive
     n, s = y.shape[-1], 1
