@@ -24,7 +24,7 @@ from .grids import (
     Trajectory,
     make_grid,
 )
-from .signatures import lift_level_for_hurst, lift_scalar_path, rough_pvar_distance
+from .signatures import _check_cells, lift_level_for_hurst, lift_scalar_path, rough_pvar_distance
 from .simulate import _ar1, sample_fgn
 
 __all__ = [
@@ -165,6 +165,7 @@ def convergence_diagnostic(
     truth = make_grid(delta0 / stride0, horizon)
     if truth.count % stride0:
         raise ValueError("horizon must hold a whole number of delta0 cells")
+    _check_cells(truth.count >> _TRUTH_LEVELS, level)  # the finest level's program
 
     db = sample_fgn(hurst, truth, seed).values
     driver = Trajectory(truth, np.concatenate([[0.0], np.cumsum(db)]))

@@ -10,10 +10,12 @@ experiment's chunk kernel once per chunk; rows come out replicate-major,
 and a NumericFailure names the experiment and the replicate it stopped at.
 bias-sweep, consistency-rate and clt share the sigma2_hat kernel
 (`_sigma2_rows`), which draws and whitens each cell for a block of
-replicates at once, and score-consistency and expansion-residual share the
-fOU kernel (`_fou_rows`), which draws and scores each cell for a block of
-replicates at once, both bit for bit as one replicate at a time would; the
-other experiments run one replicate at a time (`_each_replicate`).
+replicates at once, score-consistency and expansion-residual share the fOU
+kernel (`_fou_rows`), which draws and scores each cell for a block of
+replicates at once, and signature-check's kernel (`_run_signature_check`)
+scans and checks a block of replicates' paths at once, all bit for bit as
+one replicate at a time would; the other experiments run one replicate at a
+time (`_each_replicate`).
 clt's normality p-value is the D'Agostino-Pearson K^2 test in closed form
 (`_normality_p_value`), so no experiment imports scipy's stats subpackage.
 """
@@ -46,7 +48,7 @@ from .grids import (
     make_grid,
 )
 from .likelihood import FouLikelihood
-from .signatures import pwl_signature, shuffle_residuals, tensor_multiply
+from .signatures import _multiply_rows, _residuals, _scan, _shuffle_table
 from .simulate import (
     _burn_in_grid,
     _embedding_half_size,
@@ -269,8 +271,13 @@ def _check_value(key: str, value) -> None:
     elif base in ("theta", "eta", "schedule_eta"):
         if any(v < 0 for v in seq):
             raise ConfigError(f"key '{key}' must be >= 0, got {value}")
-    elif base in ("count", "refine", "segments", "level", "levels", "k_max",
-                  "dimension"):
+    elif base == "segments":
+        if any(v < 2 for v in seq):
+            raise ConfigError(
+                f"key '{key}' must be >= 2: Chen's check splits the path into two "
+                f"nonempty halves, got {value}"
+            )
+    elif base in ("count", "refine", "level", "levels", "k_max", "dimension"):
         if any(v < 1 for v in seq):
             raise ConfigError(f"key '{key}' must be >= 1, got {value}")
     elif base in ("mean_abs_error", "slope", "recovery", "sd_spread"):
@@ -326,17 +333,17 @@ _BIAS_DEFAULTS = {
 }
 
 
-# Most doubles per array of one block of the sigma2_hat and fOU kernels: a
-# block of replicates holds a few arrays of 2m doubles per row, m the
-# embedding half-size of its draw (the Toeplitz FFT length is at most 2m), so
-# this bounds a chunk's transient memory at a few MB whatever its replicate
-# count.
+# Most doubles per array of one block of a chunk kernel: a block of
+# replicates holds a few arrays of a given size per row (2m doubles for the
+# sigma2_hat and fOU kernels, m the embedding half-size of a draw, as the
+# Toeplitz FFT length is at most 2m), so this bounds a chunk's transient
+# memory at a few MB whatever its replicate count.
 _BLOCK_DOUBLES = 2**18
 
 
-def _block_rows(m: int) -> int:
-    """Replicates per block of a cell whose draw embeds at half-size m."""
-    return max(1, _BLOCK_DOUBLES // (2 * m))
+def _block_rows(row_doubles: int) -> int:
+    """Replicates per block whose arrays hold `row_doubles` doubles a row."""
+    return max(1, _BLOCK_DOUBLES // row_doubles)
 
 
 def _sigma2_rows(
@@ -357,7 +364,7 @@ def _sigma2_rows(
         law = MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps)
         with _replicate_context(name, replicates[0]):
             m = _embedding_half_size(hurst, eps / grid.delta, grid.count)
-        rows = _block_rows(m)
+        rows = _block_rows(2 * m)
         for start in range(0, len(replicates), rows):
             block = replicates[start : start + rows]
             with _replicate_context(name, block[0]):
@@ -593,7 +600,7 @@ def _fou_rows(
         lik = FouLikelihood(hurst, grid)
         with _replicate_context(name, replicates[0]):
             m = _embedding_half_size(hurst, 0.0, _burn_in_grid(law, grid).count)
-        rows = _block_rows(m)
+        rows = _block_rows(2 * m)
         for start in range(0, len(replicates), rows):
             block = replicates[start : start + rows]
             with _replicate_context(name, block[0]):
@@ -939,36 +946,65 @@ _SIGNATURE_DEFAULTS = {
 }
 
 
-def _tensor_rel_gap(a, b) -> float:
-    scale = max(1.0, max(float(np.max(np.abs(arr))) for arr in b.data))
-    gap = max(
-        float(np.max(np.abs(x - y))) for x, y in zip(a.data, b.data)
-    )
-    return gap / scale
-
-
-def _rep_signature_check(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    dim = params["sig.dimension"]
-    segments = params["sig.segments"]
-    level = params["sig.level"]
-    rng = seed.rng(STREAM_AUX)
-    steps = 0.5 * rng.standard_normal((segments, dim))
-    samples = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)])
-
-    sig = pwl_signature(samples, level)
-    split = int(rng.integers(1, segments))
-    left = pwl_signature(samples, level, 0, split)
-    right = pwl_signature(samples, level, split, segments)
-    chen = _tensor_rel_gap(tensor_multiply(left, right), sig)
-
-    scale = max(1.0, max(float(np.max(np.abs(arr))) for arr in sig.data))
-    shuffle = float(np.max(shuffle_residuals(sig) / scale))
-
-    common = dict(experiment="signature-check", replicate=seed.replicate)
+def _run_signature_check(
+    name: str, params: dict, master: int, replicates: range
+) -> list[ResultRow]:
+    """Chen and shuffle residuals of random piecewise-linear paths for a chunk
+    of replicates.  Replicate r draws its steps, then its split point, from
+    SeedSpec(master, r) stream STREAM_AUX; each block of replicates is then
+    scanned, multiplied and checked at once, bit for bit as one replicate at
+    a time would (``_signature_residual_rows``).  A failure names the block's
+    first replicate."""
+    dim, segments = params["sig.dimension"], params["sig.segments"]
+    # a row holds its path and one residual per word pair of the table
+    rows = _block_rows(segments * dim + len(_shuffle_table(dim, params["sig.level"]).left))
+    values = np.empty((len(replicates), 2))
+    for start in range(0, len(replicates), rows):
+        block = replicates[start : start + rows]
+        with _replicate_context(name, block[0]):
+            values[start : start + rows] = _signature_residual_rows(params, master, block)
     return [
-        ResultRow(statistic="chen_residual", value=chen, **common),
-        ResultRow(statistic="shuffle_residual", value=shuffle, **common),
+        ResultRow(experiment=name, replicate=r, statistic=statistic, value=value)
+        for r, row in zip(replicates, values.tolist())
+        for statistic, value in zip(("chen_residual", "shuffle_residual"), row)
     ]
+
+
+def _signature_residual_rows(params: dict, master: int, block: range) -> np.ndarray:
+    """(chen, shuffle) residuals of each replicate of the block, one row each.
+
+    The signature S of a replicate's path and its left half over nodes
+    [0, split] are two reads of one prefix scan; the right halves are scanned
+    together per split value.  chen is max |left x right - S| over all
+    entries and shuffle the largest shuffle residual of S, both divided by
+    max(1, max |S|)."""
+    dim, segments, level = params["sig.dimension"], params["sig.segments"], params["sig.level"]
+    steps = np.empty((len(block), segments, dim))
+    splits = np.empty(len(block), dtype=np.intp)
+    for row, r in enumerate(block):
+        rng = SeedSpec(master, r).rng(STREAM_AUX)
+        steps[row] = 0.5 * rng.standard_normal((segments, dim))
+        splits[row] = rng.integers(1, segments)
+    # the increments between the path's nodes 0, cumsum(steps)
+    increments = np.diff(np.cumsum(steps, axis=1), axis=1, prepend=0.0)
+    ones = np.ones(len(block))
+    scans = _scan(increments, level, np.column_stack((splits, np.full(len(block), segments))))
+    left = [ones, *(c[:, 0] for c in scans)]
+    sig = [ones, *(c[:, 1] for c in scans)]
+    right = [ones, *(np.empty_like(c) for c in sig[1:])]
+    for split in np.unique(splits):
+        rows = splits == split
+        take = np.full((np.count_nonzero(rows), 1), segments - split)
+        for whole, part in zip(right[1:], _scan(increments[rows, split:], level, take)):
+            whole[rows] = part[:, 0]
+
+    def largest(comps):  # max |entry| of each row over all levels
+        return np.max([np.abs(c).reshape(len(block), -1).max(axis=1) for c in comps], axis=0)
+
+    scale = np.maximum(1.0, largest(sig))
+    chen = largest([x - y for x, y in zip(_multiply_rows(left, right), sig)]) / scale
+    shuffle = np.max(_residuals(sig, slice(None)) / scale[:, None], axis=1)
+    return np.column_stack((chen, shuffle))
 
 
 def _sum_signature_check(params: dict, rows: list[ResultRow]) -> dict:
@@ -1163,7 +1199,7 @@ _REGISTRY = {
         ),
         _Experiment(
             "signature-check", _SIGNATURE_DEFAULTS, 100,
-            _each_replicate(_rep_signature_check), _sum_signature_check,
+            _run_signature_check, _sum_signature_check,
         ),
         _Experiment(
             "tfe-sweep", _TFE_DEFAULTS, 200, _each_replicate(_rep_tfe_sweep), _sum_tfe_sweep

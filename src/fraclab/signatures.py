@@ -18,6 +18,16 @@ sequential accumulate.  Signatures are group-like (level 0 is exactly 1), so
 this is `tensor_multiply`'s own order of operations, (b_m + sum a_i x b_{m-i})
 + a_m, and the result is bit-identical to multiplying segment by segment, up
 to the sign of exact zeros.
+
+The scan (`_scan`), the product (`_multiply_rows`) and the shuffle residuals
+(`_residuals`) work on stacks of paths or tensors along one leading row axis,
+and `pwl_signature`, `tensor_multiply` and `shuffle_residuals` are their
+one-row case; signature-check runs a block of replicates as the rows.  The
+p-variation program (`_pvar_sup`) likewise runs one row per gain function:
+`rough_pvar_distance` stacks its lift levels as the rows of one pass, and
+`p_variation_norm` is the one-row case.  Each row is bit-identical to a
+program of its own, since max is exact.  A program of more than `PVAR_CAP`
+cells is refused before any work.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "TENSOR_CAP",
+    "PVAR_CAP",
     "TruncatedTensor",
     "tensor_unit",
     "tensor_multiply",
@@ -53,6 +64,7 @@ _MAX_LEVEL = 3
 _DP_BLOCK = 32  # columns per block of the p-variation program: O(32 N) memory
 _SCAN_ENTRIES = 2**16  # entries per level in a block of the signature scan, whatever N
 TENSOR_CAP = 2**18  # dim**level: ~420 bytes each in the shuffle table, ~110 MB
+PVAR_CAP = 2**26  # cells (node pairs i < j, times rows) of one p-variation program: seconds
 
 
 def _check_level(level: int) -> None:
@@ -130,6 +142,24 @@ def tensor_unit(dim: int, level: int) -> TruncatedTensor:
     return TruncatedTensor(dim, level, tuple(comps))
 
 
+def _one_row(t: TruncatedTensor) -> list:
+    """The components of `t`, level 0 included, as stacks of one row."""
+    return [np.asarray(c)[None] for c in t.data]
+
+
+def _multiply_rows(a: list, b: list) -> list:
+    """Row-by-row truncated tensor product of two stacks of tensors (level m
+    of shape (rows,) + (dim,)*m, level 0 included): level m is
+    sum_{i+j=m} a_i x b_j, added in increasing i."""
+    out = [a[0] * b[0]]
+    for m in range(1, len(a)):
+        acc = np.zeros(a[m].shape)
+        for i in range(m + 1):
+            acc += _row_outer(a[i], b[m - i])
+        out.append(acc)
+    return out
+
+
 def tensor_multiply(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor product: level-m component sum_{i+j=m} a_i x b_j."""
     if a.dim != b.dim or a.level != b.level:
@@ -137,33 +167,25 @@ def tensor_multiply(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
             f"mismatched operands: ({a.dim}, level {a.level}) vs "
             f"({b.dim}, level {b.level})"
         )
-    out = [a.data[0] * b.data[0]]
-    for m in range(1, a.level + 1):
-        acc = np.zeros((a.dim,) * m)
-        for i in range(m + 1):
-            left, right = a.data[i], b.data[m - i]
-            if i == 0 or i == m:
-                acc += left * right  # scalar times tensor
-            else:
-                acc += np.multiply.outer(left, right)
-        out.append(acc)
-    return TruncatedTensor(a.dim, a.level, tuple(out))
+    out = _multiply_rows(_one_row(a), _one_row(b))
+    return TruncatedTensor(a.dim, a.level, tuple(c[0] for c in out))
 
 
-def _row_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row outer product of two stacks: out[j] = a[j] x b[j]."""
-    return a.reshape(a.shape + (1,) * (b.ndim - 1)) * b.reshape(
-        b.shape[:1] + (1,) * (a.ndim - 1) + b.shape[1:]
+def _row_outer(a: np.ndarray, b: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Outer product along the first `lead` axes: out[j] = a[j] x b[j] for
+    each index j of those axes (lead = 0: the plain outer product)."""
+    return a.reshape(a.shape + (1,) * (b.ndim - lead)) * b.reshape(
+        b.shape[:lead] + (1,) * (a.ndim - lead) + b.shape[lead:]
     )
 
 
 def _exponentials(steps: np.ndarray, level: int) -> list:
-    """Levels 1..level of the exponential of each row v of `steps`:
-    v^(x m) / m!, stacked along a leading segment axis."""
+    """Levels 1..level of the exponential of each increment v along the last
+    axis of `steps`: v^(x m) / m!, with the leading axes of `steps`."""
     comps, power = [], steps
     for m in range(1, level + 1):
         if m > 1:
-            power = _row_outer(power, steps)
+            power = _row_outer(power, steps, steps.ndim - 1)
         comps.append(power / math.factorial(m))
     return comps
 
@@ -183,7 +205,7 @@ def segment_signature(increment: np.ndarray, level: int) -> TruncatedTensor:
     _check_size(v.shape[0], level)
     if not np.isfinite(v).all():
         raise ValueError("increment must be finite")
-    return _finite_tensor(v.shape[0], level, [c[0] for c in _exponentials(v[None], level)])
+    return _finite_tensor(v.shape[0], level, _exponentials(v, level))
 
 
 def pwl_signature(samples: np.ndarray, level: int, start: int = 0, stop: int | None = None) -> TruncatedTensor:
@@ -204,24 +226,40 @@ def pwl_signature(samples: np.ndarray, level: int, start: int = 0, stop: int | N
         raise ValueError(f"samples must be finite over the node range [{start}, {stop}]")
     if start == stop:
         return tensor_unit(pts.shape[1], level)
-    steps = np.diff(nodes, axis=0)
-    block = max(1, _SCAN_ENTRIES // steps.shape[1] ** level)
-    # prefix[i - 1][j]: level i over the segments up to row j of the block;
-    # carry: its last rows from the blocks before
+    steps = np.diff(nodes, axis=0)[None]
+    scan = _scan(steps, level, np.array([[steps.shape[1]]]))
+    return _finite_tensor(pts.shape[1], level, [c[0, 0] for c in scan])
+
+
+def _scan(steps: np.ndarray, level: int, take: np.ndarray) -> list:
+    """Signatures of the piecewise-linear paths whose increments are the
+    rows of the (rows, segments, dim) stack `steps`, over their first
+    take[r, k] >= 1 segments: levels 1..level, level m of shape
+    take.shape + (dim,)*m.  One prefix scan per level (module docstring),
+    along the segment axis of blocks of at most _SCAN_ENTRIES top-level
+    entries, whatever the row and segment counts."""
+    rows, count, dim = steps.shape
+    block = max(1, _SCAN_ENTRIES // (rows * dim**level))
+    out = [np.empty(take.shape + (dim,) * m) for m in range(1, level + 1)]
+    # prefix[i - 1][r, j]: level i over the segments up to j of the block;
+    # carry: its last segments from the blocks before
     prefix, carry = [None] * level, None
-    for lo in range(0, steps.shape[0], block):
-        b = _exponentials(steps[lo : lo + block], level)
+    for lo in range(0, count, block):
+        b = _exponentials(steps[:, lo : lo + block], level)
         for m in range(1, level + 1):
             terms = b[m - 1].copy()
             for i in range(1, m):
                 if carry is not None:
-                    terms[0] += np.multiply.outer(carry[i - 1], b[m - i - 1][0])
-                terms[1:] += _row_outer(prefix[i - 1][:-1], b[m - i - 1][1:])
+                    terms[:, 0] += _row_outer(carry[i - 1], b[m - i - 1][:, 0])
+                terms[:, 1:] += _row_outer(prefix[i - 1][:, :-1], b[m - i - 1][:, 1:], 2)
             if carry is not None:
-                terms[0] += carry[m - 1]
-            prefix[m - 1] = np.cumsum(terms, axis=0)
-        carry = [s[-1].copy() for s in prefix]
-    return _finite_tensor(pts.shape[1], level, carry)
+                terms[:, 0] += carry[m - 1]
+            prefix[m - 1] = np.cumsum(terms, axis=1)
+        r, k = np.nonzero((lo < take) & (take <= lo + block))
+        for whole, part in zip(out, prefix):
+            whole[r, k] = part[r, take[r, k] - lo - 1]
+        carry = [part[:, -1] for part in prefix]
+    return out
 
 
 def shuffles(w1: tuple, w2: tuple):
@@ -284,22 +322,31 @@ def _shuffle_table(dim: int, level: int) -> _ShuffleTable:
     return table
 
 
-def _residuals(sig: TruncatedTensor, rows) -> np.ndarray:
-    """|Z^w1 Z^w2 - sum over shuffles Z^w| for the table rows `rows`, the
-    shuffles added left to right as Python's ``sum`` would."""
-    table = _shuffle_table(sig.dim, sig.level)
-    flat = np.concatenate(([sig.data[0]], *(c.ravel() for c in sig.data[1:]), [0.0]))
+def _residuals(comps: list, rows) -> np.ndarray:
+    """|Z^w1 Z^w2 - sum over shuffles Z^w| of each tensor of a stack (level
+    m of shape (count,) + (dim,)*m, level 0 included) for the table rows
+    `rows`, one row per tensor, the shuffles added left to right as
+    Python's ``sum`` would."""
+    count = comps[0].shape[0]
+    table = _shuffle_table(comps[1].shape[1], len(comps) - 1)
+    flat = np.concatenate(
+        [comps[0][:, None], *(c.reshape(count, -1) for c in comps[1:]), np.zeros((count, 1))],
+        axis=1,
+    )
     cols = table.shuffles[rows]
-    total = flat[cols[:, 0]]
+    total = flat[:, cols[:, 0]]
     for k in range(1, cols.shape[1]):
-        total = total + flat[cols[:, k]]
-    return np.abs(flat[table.left[rows]] * flat[table.right[rows]] - total)
+        total += flat[:, cols[:, k]]
+    out = flat[:, table.left[rows]]
+    out *= flat[:, table.right[rows]]
+    out -= total
+    return np.abs(out, out=out)
 
 
 def shuffle_residuals(sig: TruncatedTensor) -> np.ndarray:
     """`shuffle_residual` of every word pair with |w1| + |w2| <= sig.level,
     the empty word included, in the order of ``_shuffle_table``."""
-    return _residuals(sig, slice(None))
+    return _residuals(_one_row(sig), slice(None))[0]
 
 
 def shuffle_residual(sig: TruncatedTensor, w1: tuple, w2: tuple) -> float:
@@ -310,7 +357,7 @@ def shuffle_residual(sig: TruncatedTensor, w1: tuple, w2: tuple) -> float:
         )
     i1, i2 = (_word_index(w, sig.dim, sig.level) for w in (w1, w2))
     row = _shuffle_table(sig.dim, sig.level).blocks[len(w1), len(w2)] + i1 * sig.dim ** len(w2) + i2
-    return float(_residuals(sig, slice(row, row + 1))[0])
+    return float(_residuals(_one_row(sig), slice(row, row + 1))[0, 0])
 
 
 def p_variation_norm(values: np.ndarray, p: float) -> float:
@@ -331,30 +378,48 @@ def p_variation_norm(values: np.ndarray, p: float) -> float:
     if not np.all(np.isfinite(z)):
         raise ValueError("values must be finite")
 
+    n = z.shape[0] - 1
+    _check_cells(n, 1)
+
     def gain_rows(lo, hi):
-        return np.linalg.norm(z[lo:hi, None] - z[:hi], axis=2)
+        return (np.linalg.norm(z[lo:hi, None] - z[:hi], axis=2) ** p)[None]
 
-    return _pvar_sup(gain_rows, z.shape[0] - 1, p) ** (1.0 / p)
+    return float(_pvar_sup(gain_rows, n, 1)[0]) ** (1.0 / p)
 
 
-def _pvar_sup(gain_rows, n: int, q: float) -> float:
-    """sup over node partitions of sum |D(t_i, t_{i+1})|^q for a general
-    two-parameter function D, read in column blocks: gain_rows(lo, hi) is a
-    (hi - lo) x hi array whose row j - lo holds |D(i, j)| at column i < j.
+def _check_cells(n: int, rows: int) -> None:
+    """Raise before any work unless `rows` programs over n + 1 nodes, each
+    with n(n + 1)/2 cells, fit within ``PVAR_CAP`` cells."""
+    cells = rows * (n * (n + 1) // 2)
+    if cells > PVAR_CAP:
+        raise ValueError(
+            f"a p-variation program over {n + 1} nodes and {rows} level(s) has "
+            f"{cells} cells, above PVAR_CAP = {PVAR_CAP}"
+        )
 
-    best[j] = max over i < j of best[i] + |D(i, j)|^q: one vectorised max over
-    the i before each block, then the in-block i one column at a time.  max is
-    exact, so this is bit-identical to a column-by-column walk.
+
+def _pvar_sup(gain_rows, n: int, rows: int) -> np.ndarray:
+    """sup over node partitions of sum G_r(t_i, t_{i+1}) for `rows` general
+    two-parameter gains G_r >= 0 at once, read in column blocks:
+    gain_rows(lo, hi) is a (rows, hi - lo, hi) array whose [r, j - lo] holds
+    G_r(i, j) at column i < j.
+
+    best[r, j] = max over i < j of best[r, i] + G_r(i, j): one vectorised max
+    over the i before each block, then the in-block i one column at a time,
+    for every row at once.  max is exact, so each row is bit-identical to a
+    column-by-column walk of it alone.
     """
-    best = np.zeros(n + 1)
+    best = np.zeros((rows, n + 1))
     for lo in range(1, n + 1, _DP_BLOCK):
         hi = min(lo + _DP_BLOCK, n + 1)
-        gains = gain_rows(lo, hi) ** q
-        block = np.max(gains[:, :lo] + best[:lo], axis=1)
-        for k in range(1, hi - lo):  # block[k - 1] is final: extend it by one step
-            np.maximum(block[k:], gains[k:, lo + k - 1] + block[k - 1], out=block[k:])
-        best[lo:hi] = block
-    return float(best[n])
+        gains = gain_rows(lo, hi)
+        block = np.max(gains[:, :, :lo] + best[:, None, :lo], axis=2)
+        for k in range(1, hi - lo):  # block[:, k - 1] is final: extend it by one step
+            np.maximum(
+                block[:, k:], gains[:, k:, lo + k - 1] + block[:, k - 1, None], out=block[:, k:]
+            )
+        best[:, lo:hi] = block
+    return best[:, n]
 
 
 def lift_level_for_hurst(hurst: float) -> int:
@@ -403,18 +468,16 @@ def _check_lift_pair(a: ScalarRoughLift, b: ScalarRoughLift) -> None:
         raise ValueError("lifts must share level and p")
 
 
-def _lift_gaps(a: ScalarRoughLift, b: ScalarRoughLift, m: int):
-    """Column blocks of |D_m(i, j)|, the difference of the two lifts'
-    level-m entries over [t_i, t_j], in the layout `_pvar_sup` reads."""
-    za, zb = a.samples, b.samples
-    fact = math.factorial(m)
-
-    def gain_rows(lo, hi):
-        da = (za[lo:hi, None] - za[:hi]) ** m
-        db = (zb[lo:hi, None] - zb[:hi]) ** m
-        return np.abs(da - db) / fact
-
-    return gain_rows
+def _lift_gaps(a: ScalarRoughLift, b: ScalarRoughLift, lo: int, hi: int) -> list:
+    """|D_m(i, j)| for m = 1..level, the difference of the two lifts'
+    level-m entries over [t_i, t_j], at rows j - lo for j in [lo, hi) and
+    columns i < hi."""
+    da = a.samples[lo:hi, None] - a.samples[:hi]
+    db = b.samples[lo:hi, None] - b.samples[:hi]
+    gaps = [np.abs(da - db)]
+    for m in range(2, a.level + 1):
+        gaps.append(np.abs(da**m - db**m) / math.factorial(m))
+    return gaps
 
 
 def rough_pvar_distance(a: ScalarRoughLift, b: ScalarRoughLift) -> float:
@@ -423,13 +486,19 @@ def rough_pvar_distance(a: ScalarRoughLift, b: ScalarRoughLift) -> float:
         max over levels m <= level of
             ( sup over partitions sum |D_m(t_i, t_{i+1})|^(p/m) )^(m/p)
 
-    where D_m(s, t) is the difference of level-m entries over [s, t].
+    where D_m(s, t) is the difference of level-m entries over [s, t].  The
+    levels are the rows of one dynamic program.
     """
     _check_lift_pair(a, b)
     n = a.samples.shape[0] - 1
+    _check_cells(n, a.level)
+
+    def gain_rows(lo, hi):
+        return np.stack([g ** (a.p / m) for m, g in enumerate(_lift_gaps(a, b, lo, hi), 1)])
+
     worst = 0.0
-    for m in range(1, a.level + 1):
-        worst = max(worst, _pvar_sup(_lift_gaps(a, b, m), n, a.p / m) ** (m / a.p))
+    for m, sup in enumerate(_pvar_sup(gain_rows, n, a.level).tolist(), 1):
+        worst = max(worst, sup ** (m / a.p))
     return worst
 
 
@@ -452,13 +521,13 @@ def holder_distance(
     t = np.arange(n + 1, dtype=float) if times is None else np.asarray(times, float)
     if t.shape != (n + 1,) or not np.all(np.diff(t) > 0):  # NaN fails too
         raise ValueError("times must be strictly increasing with one entry per node")
+    _check_cells(n, a.level)
     worst = 0.0
-    for m in range(1, a.level + 1):
-        gain_rows = _lift_gaps(a, b, m)
-        for lo in range(1, n + 1, _DP_BLOCK):
-            hi = min(lo + _DP_BLOCK, n + 1)
-            span = t[lo:hi, None] - t[:hi]
-            below = span > 0  # the pairs i < j
-            ratio = gain_rows(lo, hi) ** (1.0 / m) / np.where(below, span, 1.0) ** alpha
-            worst = max(worst, float(ratio[below].max()))
+    for lo in range(1, n + 1, _DP_BLOCK):
+        hi = min(lo + _DP_BLOCK, n + 1)
+        span = t[lo:hi, None] - t[:hi]
+        below = span > 0  # the pairs i < j
+        scale = np.where(below, span, 1.0) ** alpha
+        for m, gap in enumerate(_lift_gaps(a, b, lo, hi), 1):
+            worst = max(worst, float((gap ** (1.0 / m) / scale)[below].max()))
     return worst

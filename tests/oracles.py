@@ -202,6 +202,38 @@ def segment_product_signature(samples, level: int, start: int = 0, stop=None):
     return sig
 
 
+def rep_signature_check(params: dict, seed) -> list:
+    """One signature-check replicate through the one-path functions: the
+    signature of the random path, its halves at the drawn split multiplied
+    by tensor_multiply, and shuffle_residuals."""
+    from fraclab.experiments import ResultRow
+    from fraclab.grids import STREAM_AUX
+    from fraclab import pwl_signature, shuffle_residuals, tensor_multiply
+
+    dim = params["sig.dimension"]
+    segments = params["sig.segments"]
+    level = params["sig.level"]
+    rng = seed.rng(STREAM_AUX)
+    steps = 0.5 * rng.standard_normal((segments, dim))
+    samples = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)])
+
+    sig = pwl_signature(samples, level)
+    split = int(rng.integers(1, segments))
+    left = pwl_signature(samples, level, 0, split)
+    right = pwl_signature(samples, level, split, segments)
+    product = tensor_multiply(left, right)
+
+    scale = max(1.0, max(float(np.max(np.abs(arr))) for arr in sig.data))
+    gap = max(float(np.max(np.abs(x - y))) for x, y in zip(product.data, sig.data))
+    shuffle = float(np.max(shuffle_residuals(sig) / scale))
+
+    common = dict(experiment="signature-check", replicate=seed.replicate)
+    return [
+        ResultRow(statistic="chen_residual", value=gap / scale, **common),
+        ResultRow(statistic="shuffle_residual", value=shuffle, **common),
+    ]
+
+
 def tfe_slope_root(data, guess: float) -> float:
     """A root, found from ``guess``, of the tfe loss's derivative
     L'(theta) = -2 x_0 sum_k (x_k - x_0 e^(-theta t_k)) t_k e^(-theta t_k),

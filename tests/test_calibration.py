@@ -22,6 +22,7 @@ from fraclab import (
     inverse_calibration,
     phi_ratio,
 )
+from fraclab import calibration
 
 
 class TestPhiRatio:
@@ -238,3 +239,14 @@ class TestConvergenceDiagnostic:
             convergence_diagnostic(
                 params, SeedSpec(0), delta0=0.5, n_max=2, horizon=1.3
             )
+
+    def test_oversized_finest_level_rejected_before_sampling(self, monkeypatch):
+        # cal.levels = 19: 4 194 305 nodes at the finest level, days of
+        # p-variation work, refused before the 2^24-cell driver is drawn
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the size check")
+
+        monkeypatch.setattr(calibration, "sample_fgn", never)
+        params = FouParams(theta=1.0, sigma=1.0, hurst=0.7)
+        with pytest.raises(ValueError, match="PVAR_CAP"):
+            convergence_diagnostic(params, SeedSpec(0), n_max=19)

@@ -419,6 +419,22 @@ class TestExperimentCommand:
         assert rc == 2 and out == ""
         assert "config error" in err and "TENSOR_CAP" in err
 
+    @pytest.mark.parametrize(
+        "experiment, key, value, message",
+        [
+            ("signature-check", "sig.segments", "1", "'sig.segments' must be >= 2"),
+            ("calibration-convergence", "cal.levels", "19", "PVAR_CAP"),
+        ],
+    )
+    def test_refused_sizes_exit_2(self, capsys, tmp_path, experiment, key, value, message):
+        # one segment has no split point (numpy's "low >= high" in its draw
+        # before), and 19 dyadic levels would take days a replicate
+        cfg = tmp_path / "size.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{key} = {value}\n")
+        rc, out, err = run_cli(capsys, "experiment", str(cfg))
+        assert rc == 2 and out == ""
+        assert "config error" in err and message in err
+
     def test_unknown_experiment_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("experiment = nonsense\n")

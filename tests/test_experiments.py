@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import normaltest
 
-from fraclab import NumericFailure, conjecture_scan, experiments, fgn, simulate
+from fraclab import NumericFailure, conjecture_scan, experiments, fgn, signatures, simulate
 from fraclab.experiments import (
     _PARAM_COLUMNS,
     ConfigError,
@@ -36,6 +36,8 @@ from fraclab.experiments import (
     write_csv,
     write_outputs,
 )
+from fraclab.grids import STREAM_AUX, SeedSpec
+from oracles import rep_signature_check
 
 CHEAP_EXPANSION = {
     "model.hurst": "0.6",
@@ -291,12 +293,18 @@ class TestRunConfig:
             ("tfe-sweep", "tol.slope", "-0.15"),
             ("tfe-sweep", "tol.recovery", "-1e-7"),
             ("tfe-sweep", "tol.sd_spread", "nan"),
+            ("signature-check", "sig.segments", "1"),
         ],
     )
     def test_out_of_range_key_rejected(self, experiment, key, value):
         # eps_log2 = 1100 used to overflow 2.0**v; a negative tol.recovery
-        # used to flip recovery_ok silently
-        rule = "lie in [-1074, 1023]" if "eps_log2" in key else "be positive and finite"
+        # used to flip recovery_ok silently; one segment has no split point
+        # and failed in the draw of one
+        rule = (
+            "lie in [-1074, 1023]" if "eps_log2" in key
+            else "be >= 2" if key == "sig.segments"
+            else "be positive and finite"
+        )
         cfg = parse_config_text(f"experiment = {experiment}\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=re.escape(f"'{key}' must {rule}")):
             run_config(cfg)
@@ -410,7 +418,7 @@ class TestRunConfig:
                 time.sleep(0.3)
             if seed.replicate in (1, 4):
                 raise NumericFailure(f"planted failure {seed.replicate}")
-            return experiments._rep_signature_check(params, seed)
+            return rep_signature_check(params, seed)
 
         monkeypatch.setitem(
             experiments._REGISTRY,
@@ -537,6 +545,89 @@ class TestRunConfig:
         message = "^experiment 'score-consistency' replicate 2: planted"
         with pytest.raises(NumericFailure, match=message):
             run_config(cfg)
+
+    @pytest.mark.parametrize("dim, segments, level", [(3, 8, 3), (1, 2, 1), (2, 5, 2), (4, 3, 3)])
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("entries", [1, None])
+    def test_signature_kernel_equals_one_replicate_at_a_time(
+        self, dim, segments, level, rows, entries, monkeypatch
+    ):
+        # blocks of 1, 3 and all 40 replicates, each scan in blocks of one
+        # segment or of all; every split value occurs among the replicates
+        params = {"sig.dimension": dim, "sig.segments": segments, "sig.level": level}
+        replicates = range(7, 47)
+        splits = set()
+        for r in replicates:
+            rng = SeedSpec(3, r).rng(STREAM_AUX)
+            rng.standard_normal((segments, dim))
+            splits.add(int(rng.integers(1, segments)))
+        assert splits == set(range(1, segments))
+        want = [row for r in replicates for row in rep_signature_check(params, SeedSpec(3, r))]
+        monkeypatch.setattr(experiments, "_block_rows", lambda row_doubles: rows)
+        if entries is not None:
+            monkeypatch.setattr(signatures, "_SCAN_ENTRIES", entries)
+        got = experiments._run_signature_check("signature-check", params, 3, replicates)
+        assert [(r.replicate, r.statistic, r.value.hex()) for r in got] == [
+            (r.replicate, r.statistic, r.value.hex()) for r in want
+        ]
+        assert got == want
+
+    def test_signature_block_cap_leaves_outputs_unchanged(self, monkeypatch, tmp_path):
+        # a row holds 166 doubles at the defaults (24 path entries and 142
+        # word pairs), so caps of 166 and 400 give blocks of 1 and 2
+        kernel, blocks = experiments._signature_residual_rows, []
+
+        def recording(params, master, block):
+            blocks.append(len(block))
+            return kernel(params, master, block)
+
+        monkeypatch.setattr(experiments, "_signature_residual_rows", recording)
+        cfg = ExperimentConfig(experiment="signature-check", seed=11, replicates=5)
+        written = []
+        for cap in (experiments._BLOCK_DOUBLES, 166, 400):
+            monkeypatch.setattr(experiments, "_BLOCK_DOUBLES", cap)
+            csv_path, json_path = write_outputs(run_config(cfg), tmp_path / f"{cap}.csv")
+            written.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert blocks == [5] + [1] * 5 + [2, 2, 1]
+        assert written[0] == written[1] == written[2]
+
+    def test_signature_kernel_failure_names_the_block(self, monkeypatch):
+        # a failure in replicate 3's block names the block's first replicate:
+        # 2 serially in blocks of 2, and 3 pooled, where 6 replicates on 2
+        # workers make chunks of one
+        kernel = experiments._signature_residual_rows
+
+        def failing(params, master, block):
+            if 3 in block:
+                raise NumericFailure("planted residual failure")
+            return kernel(params, master, block)
+
+        monkeypatch.setattr(experiments, "_signature_residual_rows", failing)
+        monkeypatch.setattr(experiments, "_BLOCK_DOUBLES", 400)
+        for threads, first in ((1, 2), (2, 3)):
+            cfg = ExperimentConfig(
+                experiment="signature-check", seed=5, replicates=6, threads=threads
+            )
+            message = f"^experiment 'signature-check' replicate {first}: planted"
+            with pytest.raises(NumericFailure, match=message):
+                run_config(cfg)
+
+    def test_signature_chunk_memory_is_bounded(self):
+        # in R^20 at level 3 the shuffle table has 33 241 word pairs, 266 KB
+        # of residuals a replicate: 100 replicates at once would hold several
+        # 27 MB arrays
+        signatures._shuffle_table(20, 3)  # cached: not the chunk's memory
+        cfg = ExperimentConfig(
+            experiment="signature-check", replicates=100, params={"sig.dimension": "20"}
+        )
+        tracemalloc.start()
+        try:
+            result = run_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.summary["all_below_1e_12"]
+        assert peak <= 12 * 2**20
 
     def test_default_clt_memory_is_bounded(self):
         # one chunk of 2000 replicates at N = 2000, drawn and whitened in

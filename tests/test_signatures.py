@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fraclab import (
@@ -430,6 +430,29 @@ class TestPVariationNorm:
         assert math.isfinite(value)
         assert peak < 8 * 64 * (n + 1) * 8
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_oversized_program_rejected_before_any_work(self, level):
+        # the first node count whose `level` programs exceed PVAR_CAP cells
+        # (8 192 at level 2; 4 194 305 nodes, days of work, at cal.levels = 19)
+        n = 1
+        while level * (n * (n + 1) // 2) <= signatures.PVAR_CAP:
+            n += 1
+        signatures._check_cells(n - 1, level)  # the last size within the cap
+        z = np.zeros(n + 1)
+        a, b = lift_scalar_path(z, level, 3.5), lift_scalar_path(z, level, 3.5)
+        calls = [lambda: rough_pvar_distance(a, b), lambda: holder_distance(a, b, 0.5)]
+        if level == 1:
+            calls.append(lambda: p_variation_norm(z, 2.0))
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(ValueError, match="PVAR_CAP"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestLiftLevel:
     def test_thresholds(self):
@@ -506,8 +529,13 @@ class TestRoughDistance:
         p=st.floats(1.0, 4.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(cells=65, level=3, p=1.6, seed=0)  # p/2 and p/3 below 1
+    @example(cells=200, level=3, p=3.6, seed=1)  # p/3 above 1
+    @example(cells=97, level=2, p=2.0, seed=2)  # the level-1 exponent 2
     def test_blocked_program_equals_column_program(self, cells, level, p, seed):
-        # p / level covers exponents below and above 1
+        # the levels are rows of one program, each equal to the column
+        # program of that level alone; p / level covers exponents below and
+        # above 1
         rng = np.random.default_rng(seed)
         za = np.cumsum(rng.standard_normal(cells + 1))
         zb = za + 0.3 * rng.standard_normal(cells + 1)
@@ -528,6 +556,23 @@ class TestRoughDistance:
         assert rough_pvar_distance(a, b) == pytest.approx(
             brute_force_pair_pvar(za, zb, level, p), rel=1e-12
         )
+
+    def test_memory_is_linear_in_size(self):
+        # the three levels are rows of one program, still read a block of
+        # columns at a time, never as 8 n^2 bytes (34 MB) a level
+        n = 2048
+        rng = np.random.default_rng(24)
+        za = np.cumsum(rng.standard_normal(n + 1))
+        zb = za + 0.3 * rng.standard_normal(n + 1)
+        a, b = lift_scalar_path(za, 3, 3.6), lift_scalar_path(zb, 3, 3.6)
+        tracemalloc.start()
+        try:
+            value = rough_pvar_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < 8 * 64 * (n + 1) * 8
 
     def test_pair_validation(self):
         a = lift_scalar_path(np.zeros(5), 2, 2.5)
