@@ -235,9 +235,9 @@ def _scan(steps: np.ndarray, level: int, take: np.ndarray) -> list:
     """Signatures of the piecewise-linear paths whose increments are the
     rows of the (rows, segments, dim) stack `steps`, over their first
     take[r, k] >= 1 segments: levels 1..level, level m of shape
-    take.shape + (dim,)*m.  One prefix scan per level (module docstring),
-    along the segment axis of blocks of at most _SCAN_ENTRIES top-level
-    entries, whatever the row and segment counts."""
+    take.shape + (dim,)*m.  One prefix scan per level (module docstring)
+    along the segment axis, in blocks of as many segments as keep the rows'
+    top levels within _SCAN_ENTRIES entries (one segment at least)."""
     rows, count, dim = steps.shape
     block = max(1, _SCAN_ENTRIES // (rows * dim**level))
     out = [np.empty(take.shape + (dim,) * m) for m in range(1, level + 1)]
