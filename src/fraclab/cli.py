@@ -56,12 +56,15 @@ _MODELS = ("fbm", "fou", "physical-fbm", "tfe", "approximate")
 # ---------------------------------------------------------------------------
 # trajectory files: two-column CSV (time,value)
 
-def _write_trajectory(trajectory: Trajectory, out) -> None:
-    with Path(out).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time", "value"))
-        for t, v in zip(trajectory.grid.nodes, trajectory.values):
-            writer.writerow((format_float(t), format_float(v)))
+def _write_series(times, values, out) -> None:
+    """time,value rows: CRLF-terminated CSV at ``out``, else LF lines on stdout."""
+    rows = [("time", "value")] + [(format_float(t), format_float(v)) for t, v in zip(times, values)]
+    if out:
+        with Path(out).open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    else:
+        for t, v in rows:
+            print(f"{t},{v}")
 
 
 def _read_trajectory(path) -> Trajectory:
@@ -162,12 +165,7 @@ def _cmd_simulate(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown model {args.model}")
 
-    if args.out:
-        _write_trajectory(trajectory, args.out)
-    else:
-        print("time,value")
-        for t, v in zip(trajectory.grid.nodes, trajectory.values):
-            print(f"{format_float(t)},{format_float(v)}")
+    _write_series(trajectory.grid.nodes, trajectory.values, args.out)
     return 0
 
 
@@ -224,17 +222,8 @@ def _cmd_calibrate(args) -> int:
     trajectory = _read_trajectory(args.data)
     gradients = inverse_calibration(trajectory, args.theta, args.sigma)
     delta = trajectory.grid.delta
-    lines = [(format_float((k + 1) * delta), format_float(v))
-             for k, v in enumerate(gradients.values)]
-    if args.out:
-        with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("time", "value"))
-            writer.writerows(lines)
-    else:
-        print("time,value")
-        for t, v in lines:
-            print(f"{t},{v}")
+    times = [(k + 1) * delta for k in range(len(gradients.values))]
+    _write_series(times, gradients.values, args.out)
     return 0
 
 

@@ -7,15 +7,16 @@ deterministically, CSV floats carry 17 significant digits, and summaries
 (means, standard errors, slopes, test p-values) go to a JSON sidecar.
 The runner splits the replicates into contiguous chunks and calls the
 experiment's chunk kernel once per chunk; rows come out replicate-major,
-and a NumericFailure names the experiment and the replicate it stopped at.
-bias-sweep, consistency-rate and clt share the sigma2_hat kernel
-(`_sigma2_rows`), which draws and whitens each cell for a block of
-replicates at once, score-consistency and expansion-residual share the fOU
-kernel (`_fou_rows`), which draws and scores each cell for a block of
-replicates at once, and signature-check's kernel (`_run_signature_check`)
-scans and checks a block of replicates' paths at once, all bit for bit as
-one replicate at a time would; the other experiments run one replicate at a
-time (`_each_replicate`).
+and a NumericFailure names the experiment and a replicate it stopped at.
+Eight experiments are lists of cells, one parameter setting each, run by
+`_run_cells` in blocks of replicates: the sigma2_hat cells of bias-sweep,
+consistency-rate and clt and the fOU cells of score-consistency and
+expansion-residual draw and score a block at once, signature-check's one
+cell scans and checks a block's paths at once, and the hurst-sweep and
+tfe-sweep cells draw one replicate at a time within a block, all bit for
+bit as one replicate at a time would.  calibration-convergence and
+conjecture-scan run one replicate at a time (`_each_replicate`): each of
+their replicates is one library call that returns a structured report.
 clt's normality p-value is the D'Agostino-Pearson K^2 test in closed form
 (`_normality_p_value`), so no experiment imports scipy's stats subpackage.
 """
@@ -258,6 +259,8 @@ def _coerce(key: str, raw, template):
 
 
 def _check_value(key: str, value) -> None:
+    if value == ():
+        raise ConfigError(f"key '{key}' must list at least one value")
     base = key.rsplit(".", 1)[-1]
     seq = value if isinstance(value, tuple) else (value,)
     if base in ("sigma", "delta", "delta0", "horizon", "epsilon", "epsilon_small",
@@ -322,6 +325,65 @@ def _group_values(rows, statistic, key):
 
 
 # ---------------------------------------------------------------------------
+# cells and the block runner
+
+# Most doubles per array of one block of replicates: a cell's draw holds a
+# few arrays of `row_doubles` doubles per row (2m for the sigma2_hat and fOU
+# cells, m the embedding half-size of a draw, as the Toeplitz FFT length is
+# at most 2m), so this bounds a chunk's transient memory at a few MB whatever
+# its replicate count.
+_BLOCK_DOUBLES = 2**18
+
+
+def _block_rows(row_doubles: int) -> int:
+    """Replicates per block whose arrays hold `row_doubles` doubles a row."""
+    return max(1, _BLOCK_DOUBLES // row_doubles)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One parameter setting of an experiment: ``draw(seeds)`` gives its
+    statistics for a block of replicates as a (len(seeds), len(statistics))
+    array, ``row_doubles()`` the doubles a replicate takes in the draw's
+    arrays, and ``columns`` the parameter columns of the cell's rows."""
+
+    statistics: tuple
+    columns: dict
+    row_doubles: Callable[[], int]
+    draw: Callable[[list], np.ndarray]
+
+
+def _run_cells(name: str, master: int, replicates: range, cells) -> list[ResultRow]:
+    """Rows of each cell for a chunk of replicates, replicate-major, replicate
+    r drawn from SeedSpec(master, r).  A cell is drawn in blocks of
+    ``_block_rows(row_doubles())`` replicates.  A failure names the block's
+    first replicate (the chunk's first if sizing the blocks fails), which is
+    where a replicate-at-a-time loop stops when the failure depends on the
+    cell alone."""
+    values = []
+    for cell in cells:
+        with _replicate_context(name, replicates[0]):
+            rows = _block_rows(cell.row_doubles())
+        part = np.empty((len(replicates), len(cell.statistics)))
+        for start in range(0, len(replicates), rows):
+            block = replicates[start : start + rows]
+            with _replicate_context(name, block[0]):
+                part[start : start + rows] = cell.draw([SeedSpec(master, r) for r in block])
+        values.append(part.tolist())
+    return [
+        ResultRow(experiment=name, replicate=r, statistic=statistic, value=value, **cell.columns)
+        for j, r in enumerate(replicates)
+        for cell, part in zip(cells, values)
+        for statistic, value in zip(cell.statistics, part[j])
+    ]
+
+
+def _embedding_doubles(hurst: float, law, n: int) -> int:
+    """2m, m the embedding half-size of a length-n stream."""
+    return 2 * _embedding_half_size(hurst, law, n)
+
+
+# ---------------------------------------------------------------------------
 # experiment: bias-sweep
 
 _BIAS_DEFAULTS = {
@@ -333,65 +395,34 @@ _BIAS_DEFAULTS = {
 }
 
 
-# Most doubles per array of one block of a chunk kernel: a block of
-# replicates holds a few arrays of a given size per row (2m doubles for the
-# sigma2_hat and fOU kernels, m the embedding half-size of a draw, as the
-# Toeplitz FFT length is at most 2m), so this bounds a chunk's transient
-# memory at a few MB whatever its replicate count.
-_BLOCK_DOUBLES = 2**18
-
-
-def _block_rows(row_doubles: int) -> int:
-    """Replicates per block whose arrays hold `row_doubles` doubles a row."""
-    return max(1, _BLOCK_DOUBLES // row_doubles)
-
-
-def _sigma2_rows(
-    name: str, params: dict, master: int, replicates: range, cells
-) -> list[ResultRow]:
+def _sigma2_cells(params: dict, cells) -> list[_Cell]:
     """sigma2_hat of the slow component at each (epsilon, delta, alpha) cell
-    (alpha None where it does not apply) for a chunk of replicates, cell i
-    of replicate r drawn from SeedSpec(master, r) stream 3i.  Each cell
-    draws and whitens blocks of replicates at once (``sample_slow_paths``,
-    ``estimators.sigma2_hat_rows``).  A failure depends on the cell alone,
-    so it names the block's first replicate, where a replicate-at-a-time
-    loop would have stopped."""
-    sigma = params["model.sigma"]
-    hurst = params["model.hurst"]
-    values = np.empty((len(replicates), len(cells)))
-    for i, (eps, delta, _) in enumerate(cells):
+    (alpha None where it does not apply), cell i drawn from stream 3i.  A
+    block is drawn and whitened at once (``sample_slow_paths``,
+    ``estimators.sigma2_hat_rows``), bit for bit as one replicate at a time."""
+    sigma, hurst = params["model.sigma"], params["model.hurst"]
+    out = []
+    for i, (eps, delta, alpha) in enumerate(cells):
         grid = make_grid(delta, params["grid.horizon"])
-        law = MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps)
-        with _replicate_context(name, replicates[0]):
-            m = _embedding_half_size(hurst, eps / grid.delta, grid.count)
-        rows = _block_rows(2 * m)
-        for start in range(0, len(replicates), rows):
-            block = replicates[start : start + rows]
-            with _replicate_context(name, block[0]):
-                seeds = [SeedSpec(master, r) for r in block]
-                paths = sample_slow_paths(law, grid, seeds, stream=3 * i)
-                values[start : start + rows, i] = estimators.sigma2_hat_rows(paths, grid, hurst)
-    return [
-        ResultRow(
-            experiment=name,
-            replicate=r,
-            statistic="sigma2_hat",
-            value=value,
-            epsilon=eps,
-            delta=delta,
-            alpha=alpha,
-            hurst=hurst,
-            sigma=sigma,
-        )
-        for r, row in zip(replicates, values.tolist())
-        for value, (eps, delta, alpha) in zip(row, cells)
-    ]
+        out.append(_Cell(
+            ("sigma2_hat",),
+            dict(epsilon=eps, delta=delta, alpha=alpha, hurst=hurst, sigma=sigma),
+            partial(_embedding_doubles, hurst, eps / grid.delta, grid.count),
+            partial(_draw_sigma2, MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
+                    grid, 3 * i),
+        ))
+    return out
+
+
+def _draw_sigma2(law: MultiscaleParams, grid: SamplingGrid, stream: int, seeds) -> np.ndarray:
+    paths = sample_slow_paths(law, grid, seeds, stream=stream)
+    return estimators.sigma2_hat_rows(paths, grid, law.hurst)[:, None]
 
 
 def _run_bias_sweep(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
     delta = params["grid.delta"]
     cells = [(ratio * delta, delta, None) for ratio in params["sweep.ratios"]]
-    return _sigma2_rows(name, params, master, replicates, cells)
+    return _run_cells(name, master, replicates, _sigma2_cells(params, cells))
 
 
 def _sum_bias_sweep(params: dict, rows: list[ResultRow]) -> dict:
@@ -446,7 +477,7 @@ def _run_consistency_rate(
     alpha = params["sweep.alpha"]
     epsilons = [2.0**lev for lev in params["sweep.eps_log2"]]
     cells = [(eps, eps**alpha, alpha) for eps in epsilons]
-    return _sigma2_rows(name, params, master, replicates, cells)
+    return _run_cells(name, master, replicates, _sigma2_cells(params, cells))
 
 
 def _sum_consistency_rate(params: dict, rows: list[ResultRow]) -> dict:
@@ -486,7 +517,7 @@ _CLT_DEFAULTS = {
 def _run_clt(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
     eps = params["model.epsilon"]
     alpha = params["sweep.alpha"]
-    return _sigma2_rows(name, params, master, replicates, [(eps, eps**alpha, alpha)])
+    return _run_cells(name, master, replicates, _sigma2_cells(params, [(eps, eps**alpha, alpha)]))
 
 
 def _normality_p_value(z: np.ndarray) -> float:
@@ -573,64 +604,39 @@ _SCORE_DEFAULTS = {
 }
 
 
-def _fou_rows(
-    name: str,
-    params: dict,
-    master: int,
-    replicates: range,
-    hursts,
-    statistics: tuple,
-    evaluate: Callable,
-) -> list[ResultRow]:
+def _fou_cells(params: dict, hursts, statistics: tuple, evaluate: Callable) -> list[_Cell]:
     """The statistics of approximate-model paths at each (hurst, delta) in
-    hursts x sweep.deltas for a chunk of replicates, cell k of replicate r
-    drawn from SeedSpec(master, r) stream k.  Each cell draws blocks of
-    replicates at once (``sample_approximate_paths``) and scores a block
-    with one ``evaluate(lik, paths, theta, sigma)``, which gives one array
-    per statistic, one value per path.  A failure depends on the cell alone,
-    so it names the block's first replicate, where a replicate-at-a-time
-    loop would have stopped."""
-    theta = params["model.theta"]
-    sigma = params["model.sigma"]
+    hursts x sweep.deltas, cell k drawn from stream k.  A block is drawn at
+    once (``sample_approximate_paths``) and scored by one ``evaluate(lik,
+    paths, theta, sigma)``, which gives one array per statistic, one value
+    per path."""
+    theta, sigma = params["model.theta"], params["model.sigma"]
     cells = [(hurst, delta) for hurst in hursts for delta in params["sweep.deltas"]]
-    values = np.empty((len(replicates), len(cells), len(statistics)))
+    out = []
     for k, (hurst, delta) in enumerate(cells):
         grid = make_grid(delta, params["grid.horizon"])
         law = FouParams(theta=theta, sigma=sigma, hurst=hurst)
-        lik = FouLikelihood(hurst, grid)
-        with _replicate_context(name, replicates[0]):
-            m = _embedding_half_size(hurst, 0.0, _burn_in_grid(law, grid).count)
-        rows = _block_rows(2 * m)
-        for start in range(0, len(replicates), rows):
-            block = replicates[start : start + rows]
-            with _replicate_context(name, block[0]):
-                seeds = [SeedSpec(master, r) for r in block]
-                paths = sample_approximate_paths(law, grid, seeds, stream=k)
-                values[start : start + rows, k] = np.transpose(evaluate(lik, paths, theta, sigma))
-    return [
-        ResultRow(
-            experiment=name,
-            replicate=r,
-            statistic=statistic,
-            value=value,
-            delta=delta,
-            hurst=hurst,
-            theta=theta,
-            sigma=sigma,
-        )
-        for r, row in zip(replicates, values.tolist())
-        for (hurst, delta), cell in zip(cells, row)
-        for statistic, value in zip(statistics, cell)
-    ]
+        out.append(_Cell(
+            statistics,
+            dict(delta=delta, hurst=hurst, theta=theta, sigma=sigma),
+            partial(_embedding_doubles, hurst, 0.0, _burn_in_grid(law, grid).count),
+            partial(_draw_fou, law, FouLikelihood(hurst, grid), k, evaluate),
+        ))
+    return out
+
+
+def _draw_fou(law: FouParams, lik: FouLikelihood, stream: int, evaluate, seeds) -> np.ndarray:
+    paths = sample_approximate_paths(law, lik.grid, seeds, stream=stream)
+    return np.transpose(evaluate(lik, paths, law.theta, law.sigma))
 
 
 def _run_score_consistency(
     name: str, params: dict, master: int, replicates: range
 ) -> list[ResultRow]:
-    return _fou_rows(
-        name, params, master, replicates, params["sweep.hursts"],
-        ("score_theta", "score_sigma"), FouLikelihood.score_rows,
+    cells = _fou_cells(
+        params, params["sweep.hursts"], ("score_theta", "score_sigma"), FouLikelihood.score_rows
     )
+    return _run_cells(name, master, replicates, cells)
 
 
 def _sum_score_consistency(params: dict, rows: list[ResultRow]) -> dict:
@@ -672,10 +678,8 @@ def _abs_residual(lik: FouLikelihood, paths: np.ndarray, theta: float, sigma: fl
 def _run_expansion_residual(
     name: str, params: dict, master: int, replicates: range
 ) -> list[ResultRow]:
-    return _fou_rows(
-        name, params, master, replicates, (params["model.hurst"],),
-        ("abs_residual",), _abs_residual,
-    )
+    cells = _fou_cells(params, (params["model.hurst"],), ("abs_residual",), _abs_residual)
+    return _run_cells(name, master, replicates, cells)
 
 
 def _sum_expansion_residual(params: dict, rows: list[ResultRow]) -> dict:
@@ -705,33 +709,31 @@ _HURST_DEFAULTS = {
 }
 
 
-def _rep_hurst_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    sigma = params["model.sigma"]
-    delta = params["grid.delta"]
-    count = params["grid.count"]
+def _run_hurst_sweep(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
+    """hurst_hat of the slow component on the fine grid (half the step, twice
+    the cells) at each sweep.hursts value, cell i drawn from stream 3i."""
+    sigma, delta = params["model.sigma"], params["grid.delta"]
     eps = params["model.ratio"] * delta
-    fine_grid = SamplingGrid(delta=delta / 2.0, count=2 * count)
-    rows = []
-    for i, hurst in enumerate(params["sweep.hursts"]):
-        slow = sample_slow_component(
-            MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
-            fine_grid,
-            seed,
-            stream=3 * i,
+    fine_grid = SamplingGrid(delta=delta / 2.0, count=2 * params["grid.count"])
+    cells = [
+        _Cell(
+            ("hurst_hat",),
+            dict(epsilon=eps, delta=delta, hurst=hurst, sigma=sigma),
+            partial(_embedding_doubles, hurst, eps / fine_grid.delta, fine_grid.count),
+            partial(_draw_hurst, MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps),
+                    fine_grid, 3 * i),
         )
-        rows.append(
-            ResultRow(
-                experiment="hurst-sweep",
-                replicate=seed.replicate,
-                statistic="hurst_hat",
-                value=estimators.hurst_hat(slow),
-                epsilon=eps,
-                delta=delta,
-                hurst=hurst,
-                sigma=sigma,
-            )
-        )
-    return rows
+        for i, hurst in enumerate(params["sweep.hursts"])
+    ]
+    return _run_cells(name, master, replicates, cells)
+
+
+def _draw_hurst(law: MultiscaleParams, grid: SamplingGrid, stream: int, seeds) -> np.ndarray:
+    # one path at a time: in blocks, these long paths measured slower
+    return np.array([
+        [estimators.hurst_hat(sample_slow_component(law, grid, seed, stream=stream))]
+        for seed in seeds
+    ])
 
 
 def _sum_hurst_sweep(params: dict, rows: list[ResultRow]) -> dict:
@@ -949,29 +951,23 @@ _SIGNATURE_DEFAULTS = {
 def _run_signature_check(
     name: str, params: dict, master: int, replicates: range
 ) -> list[ResultRow]:
-    """Chen and shuffle residuals of random piecewise-linear paths for a chunk
-    of replicates.  Replicate r draws its steps, then its split point, from
-    SeedSpec(master, r) stream STREAM_AUX; each block of replicates is then
-    scanned, multiplied and checked at once, bit for bit as one replicate at
-    a time would (``_signature_residual_rows``).  A failure names the block's
-    first replicate."""
-    dim, segments = params["sig.dimension"], params["sig.segments"]
-    # a row holds its path and one residual per word pair of the table
-    rows = _block_rows(segments * dim + len(_shuffle_table(dim, params["sig.level"]).left))
-    values = np.empty((len(replicates), 2))
-    for start in range(0, len(replicates), rows):
-        block = replicates[start : start + rows]
-        with _replicate_context(name, block[0]):
-            values[start : start + rows] = _signature_residual_rows(params, master, block)
-    return [
-        ResultRow(experiment=name, replicate=r, statistic=statistic, value=value)
-        for r, row in zip(replicates, values.tolist())
-        for statistic, value in zip(("chen_residual", "shuffle_residual"), row)
-    ]
+    """Chen and shuffle residuals of random piecewise-linear paths, one cell
+    drawn in blocks (``_signature_residual_rows``)."""
+    dim, segments, level = params["sig.dimension"], params["sig.segments"], params["sig.level"]
+    cell = _Cell(
+        ("chen_residual", "shuffle_residual"),
+        {},
+        # a row holds its path and one residual per word pair of the table
+        lambda: segments * dim + len(_shuffle_table(dim, level).left),
+        partial(_signature_residual_rows, params),
+    )
+    return _run_cells(name, master, replicates, [cell])
 
 
-def _signature_residual_rows(params: dict, master: int, block: range) -> np.ndarray:
-    """(chen, shuffle) residuals of each replicate of the block, one row each.
+def _signature_residual_rows(params: dict, seeds) -> np.ndarray:
+    """(chen, shuffle) residuals of each seed's replicate, one row each, bit
+    for bit as one replicate at a time.  A replicate draws its steps, then its
+    split point, from stream STREAM_AUX.
 
     The signature S of a replicate's path and its left half over nodes
     [0, split] are two reads of one prefix scan; the right halves are scanned
@@ -979,16 +975,16 @@ def _signature_residual_rows(params: dict, master: int, block: range) -> np.ndar
     entries and shuffle the largest shuffle residual of S, both divided by
     max(1, max |S|)."""
     dim, segments, level = params["sig.dimension"], params["sig.segments"], params["sig.level"]
-    steps = np.empty((len(block), segments, dim))
-    splits = np.empty(len(block), dtype=np.intp)
-    for row, r in enumerate(block):
-        rng = SeedSpec(master, r).rng(STREAM_AUX)
+    steps = np.empty((len(seeds), segments, dim))
+    splits = np.empty(len(seeds), dtype=np.intp)
+    for row, seed in enumerate(seeds):
+        rng = seed.rng(STREAM_AUX)
         steps[row] = 0.5 * rng.standard_normal((segments, dim))
         splits[row] = rng.integers(1, segments)
     # the increments between the path's nodes 0, cumsum(steps)
     increments = np.diff(np.cumsum(steps, axis=1), axis=1, prepend=0.0)
-    ones = np.ones(len(block))
-    scans = _scan(increments, level, np.column_stack((splits, np.full(len(block), segments))))
+    ones = np.ones(len(seeds))
+    scans = _scan(increments, level, np.column_stack((splits, np.full(len(seeds), segments))))
     left = [ones, *(c[:, 0] for c in scans)]
     sig = [ones, *(c[:, 1] for c in scans)]
     right = [ones, *(np.empty_like(c) for c in sig[1:])]
@@ -999,7 +995,7 @@ def _signature_residual_rows(params: dict, master: int, block: range) -> np.ndar
             whole[rows] = part[:, 0]
 
     def largest(comps):  # max |entry| of each row over all levels
-        return np.max([np.abs(c).reshape(len(block), -1).max(axis=1) for c in comps], axis=0)
+        return np.max([np.abs(c).reshape(len(seeds), -1).max(axis=1) for c in comps], axis=0)
 
     scale = np.maximum(1.0, largest(sig))
     chen = largest([x - y for x, y in zip(_multiply_rows(left, right), sig)]) / scale
@@ -1048,41 +1044,45 @@ def _tfe_instance(params: dict) -> TfeInstance:
     )
 
 
-def _rep_tfe_sweep(params: dict, seed: SeedSpec) -> list[ResultRow]:
-    theta0 = params["model.theta"]
-    hurst = params["model.hurst"]
+def _run_tfe_sweep(name: str, params: dict, master: int, replicates: range) -> list[ResultRow]:
+    """theta_hat along the (epsilon, eta) schedule and at each fluctuation
+    level, then the averaging sup error at each epsilon (eta = 0), leg k
+    drawn from stream 3k."""
+    hurst, theta0 = params["model.hurst"], params["model.theta"]
     grid = make_grid(params["grid.delta"], params["grid.horizon"])
     instance = _tfe_instance(params)
+
+    def theta_hat(sample):
+        return tfe_estimate(sample.slow, instance)
+
     schedule = zip(params["sweep.schedule_eps"], params["sweep.schedule_eta"])
     legs = (
-        [("theta_hat_schedule", eps, eta) for eps, eta in schedule]
-        + [("theta_hat_fluct", params["model.epsilon_small"], eta)
+        [("theta_hat_schedule", eps, eta, theta_hat) for eps, eta in schedule]
+        + [("theta_hat_fluct", params["model.epsilon_small"], eta, theta_hat)
            for eta in params["sweep.eta_levels"]]
-        + [("sup_error", 2.0**lev, 0.0) for lev in params["sweep.avg_eps_log2"]]
+        + [("sup_error", 2.0**lev, 0.0, sup_node_error) for lev in params["sweep.avg_eps_log2"]]
     )
-    rows = []
-    for leg, (statistic, eps, eta) in enumerate(legs):
-        sample = sample_tfe_system(
-            theta0, eta, eps, hurst, grid, seed,
-            x0=params["model.x0"], refine=params["sim.refine"], stream=3 * leg,
+    cells = [
+        _Cell(
+            (statistic,),
+            dict(epsilon=eps, eta=eta, hurst=hurst, theta=theta0),
+            lambda: 2 * grid.count,  # the fast line's normals
+            partial(_draw_tfe, params, grid, eps, eta, 3 * leg, score),
         )
-        if statistic == "sup_error":
-            value = sup_node_error(sample)
-        else:
-            value = tfe_estimate(sample.slow, instance)
-        rows.append(
-            ResultRow(
-                experiment="tfe-sweep",
-                replicate=seed.replicate,
-                statistic=statistic,
-                value=value,
-                epsilon=eps,
-                eta=eta,
-                hurst=hurst,
-                theta=theta0,
-            )
-        )
-    return rows
+        for leg, (statistic, eps, eta, score) in enumerate(legs)
+    ]
+    return _run_cells(name, master, replicates, cells)
+
+
+def _draw_tfe(params: dict, grid: SamplingGrid, eps: float, eta: float, stream: int,
+              score: Callable, seeds) -> np.ndarray:
+    return np.array([
+        [score(sample_tfe_system(
+            params["model.theta"], eta, eps, params["model.hurst"], grid, seed,
+            x0=params["model.x0"], refine=params["sim.refine"], stream=stream,
+        ))]
+        for seed in seeds
+    ])
 
 
 def _sum_tfe_sweep(params: dict, rows: list[ResultRow]) -> dict:
@@ -1186,9 +1186,7 @@ _REGISTRY = {
             "expansion-residual", _EXPANSION_DEFAULTS, 50,
             _run_expansion_residual, _sum_expansion_residual,
         ),
-        _Experiment(
-            "hurst-sweep", _HURST_DEFAULTS, 200, _each_replicate(_rep_hurst_sweep), _sum_hurst_sweep
-        ),
+        _Experiment("hurst-sweep", _HURST_DEFAULTS, 200, _run_hurst_sweep, _sum_hurst_sweep),
         _Experiment(
             "conjecture-scan", _SCAN_DEFAULTS, 1,
             _each_replicate(_rep_conjecture_scan), _sum_conjecture_scan,
@@ -1201,9 +1199,7 @@ _REGISTRY = {
             "signature-check", _SIGNATURE_DEFAULTS, 100,
             _run_signature_check, _sum_signature_check,
         ),
-        _Experiment(
-            "tfe-sweep", _TFE_DEFAULTS, 200, _each_replicate(_rep_tfe_sweep), _sum_tfe_sweep
-        ),
+        _Experiment("tfe-sweep", _TFE_DEFAULTS, 200, _run_tfe_sweep, _sum_tfe_sweep),
     )
 }
 

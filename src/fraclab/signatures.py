@@ -62,6 +62,7 @@ __all__ = [
 
 _MAX_LEVEL = 3
 _DP_BLOCK = 32  # columns per block of the p-variation program: O(32 N) memory
+_NORM_DOUBLES = 2**17  # path differences per piece of a block's norms, whatever the dimension
 _SCAN_ENTRIES = 2**16  # entries per level in a block of the signature scan, whatever N
 TENSOR_CAP = 2**18  # dim**level: ~420 bytes each in the shuffle table, ~110 MB
 PVAR_CAP = 2**26  # cells (node pairs i < j, times rows) of one p-variation program: seconds
@@ -381,8 +382,13 @@ def p_variation_norm(values: np.ndarray, p: float) -> float:
     n = z.shape[0] - 1
     _check_cells(n, 1)
 
-    def gain_rows(lo, hi):
-        return (np.linalg.norm(z[lo:hi, None] - z[:hi], axis=2) ** p)[None]
+    def gain_rows(lo, hi):  # each entry's norm is one reduction, whatever the piece
+        width = max(1, _NORM_DOUBLES // ((hi - lo) * z.shape[1]))
+        pieces = [
+            np.linalg.norm(z[lo:hi, None] - z[i : min(i + width, hi)], axis=2) ** p
+            for i in range(0, hi, width)
+        ]
+        return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1))[None]
 
     return float(_pvar_sup(gain_rows, n, 1)[0]) ** (1.0 / p)
 

@@ -234,6 +234,69 @@ def rep_signature_check(params: dict, seed) -> list:
     ]
 
 
+def rep_hurst_sweep(params: dict, seed) -> list:
+    """One hurst-sweep replicate, one sweep.hursts value after another, each
+    slow path drawn alone on the fine grid from stream 3i."""
+    from fraclab import estimators
+    from fraclab.experiments import ResultRow
+    from fraclab.grids import MultiscaleParams, SamplingGrid
+    from fraclab.simulate import sample_slow_component
+
+    sigma = params["model.sigma"]
+    delta = params["grid.delta"]
+    eps = params["model.ratio"] * delta
+    fine_grid = SamplingGrid(delta=delta / 2.0, count=2 * params["grid.count"])
+    rows = []
+    for i, hurst in enumerate(params["sweep.hursts"]):
+        law = MultiscaleParams(sigma=sigma, hurst=hurst, epsilon=eps)
+        slow = sample_slow_component(law, fine_grid, seed, stream=3 * i)
+        rows.append(ResultRow(
+            experiment="hurst-sweep", replicate=seed.replicate, statistic="hurst_hat",
+            value=estimators.hurst_hat(slow), epsilon=eps, delta=delta, hurst=hurst,
+            sigma=sigma,
+        ))
+    return rows
+
+
+def rep_tfe_sweep(params: dict, seed) -> list:
+    """One tfe-sweep replicate, one leg after another: schedule and fluctuation
+    legs give tfe_estimate of the slow path, averaging legs sup_node_error,
+    leg k drawn from stream 3k."""
+    from fraclab.experiments import ResultRow
+    from fraclab.grids import make_grid
+    from fraclab.simulate import sample_tfe_system
+    from fraclab.tfe import TfeInstance, sup_node_error, tfe_estimate
+
+    theta0 = params["model.theta"]
+    hurst = params["model.hurst"]
+    grid = make_grid(params["grid.delta"], params["grid.horizon"])
+    instance = TfeInstance(
+        theta=theta0, x0=params["model.x0"], bounds=(params["search.lo"], params["search.hi"])
+    )
+    schedule = zip(params["sweep.schedule_eps"], params["sweep.schedule_eta"])
+    legs = (
+        [("theta_hat_schedule", eps, eta) for eps, eta in schedule]
+        + [("theta_hat_fluct", params["model.epsilon_small"], eta)
+           for eta in params["sweep.eta_levels"]]
+        + [("sup_error", 2.0**lev, 0.0) for lev in params["sweep.avg_eps_log2"]]
+    )
+    rows = []
+    for leg, (statistic, eps, eta) in enumerate(legs):
+        sample = sample_tfe_system(
+            theta0, eta, eps, hurst, grid, seed,
+            x0=params["model.x0"], refine=params["sim.refine"], stream=3 * leg,
+        )
+        if statistic == "sup_error":
+            value = sup_node_error(sample)
+        else:
+            value = tfe_estimate(sample.slow, instance)
+        rows.append(ResultRow(
+            experiment="tfe-sweep", replicate=seed.replicate, statistic=statistic,
+            value=value, epsilon=eps, eta=eta, hurst=hurst, theta=theta0,
+        ))
+    return rows
+
+
 def tfe_slope_root(data, guess: float) -> float:
     """A root, found from ``guess``, of the tfe loss's derivative
     L'(theta) = -2 x_0 sum_k (x_k - x_0 e^(-theta t_k)) t_k e^(-theta t_k),

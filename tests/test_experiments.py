@@ -37,7 +37,7 @@ from fraclab.experiments import (
     write_outputs,
 )
 from fraclab.grids import STREAM_AUX, SeedSpec
-from oracles import rep_signature_check
+from oracles import rep_hurst_sweep, rep_signature_check, rep_tfe_sweep
 
 CHEAP_EXPANSION = {
     "model.hurst": "0.6",
@@ -309,6 +309,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape(f"'{key}' must {rule}")):
             run_config(cfg)
 
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [
+            (name, key)
+            for name in experiment_names()
+            for key, value in experiment_defaults(name).items()
+            if isinstance(value, tuple)
+        ],
+    )
+    def test_empty_list_rejected(self, experiment, key):
+        # 'key =' parses as an empty tuple, which used to run over no cells
+        # (or fail in a reduction with no key named)
+        cfg = parse_config_text(f"experiment = {experiment}\n{key} =\n")
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}' must list at least one value")):
+            run_config(cfg)
+
     def test_exponent_range_is_inclusive(self):
         # 2.0**-1074 is the least positive double and 2.0**1023 the largest power
         for key in ("sweep.eps_log2", "sweep.avg_eps_log2"):
@@ -546,6 +562,80 @@ class TestRunConfig:
         with pytest.raises(NumericFailure, match=message):
             run_config(cfg)
 
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "name, replicate", [("hurst-sweep", rep_hurst_sweep), ("tfe-sweep", rep_tfe_sweep)]
+    )
+    def test_cells_equal_one_replicate_at_a_time(self, name, replicate, rows, monkeypatch):
+        # blocks of 1, 3 and all 7 replicates give the rows, bit for bit, of
+        # a loop over the replicates that draws each one's cells in turn
+        params = experiments._resolve_params(name, experiment_defaults(name), TINY_PARAMS[name])
+        replicates = range(7, 14)
+        want = [row for r in replicates for row in replicate(params, SeedSpec(3, r))]
+        monkeypatch.setattr(experiments, "_block_rows", lambda row_doubles: rows)
+        got = experiments._REGISTRY[name].run(name, params, 3, replicates)
+        assert [(r.replicate, r.statistic, r.value.hex()) for r in got] == [
+            (r.replicate, r.statistic, float(r.value).hex()) for r in want
+        ]
+        assert got == want
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    @pytest.mark.parametrize(
+        "name, row_doubles, cells", [("hurst-sweep", 256, 2), ("tfe-sweep", 10, 3)]
+    )
+    def test_cell_block_cap_leaves_outputs_unchanged(
+        self, name, row_doubles, cells, monkeypatch, tmp_path
+    ):
+        # a row holds 256 doubles for hurst-sweep (2m at 128 fine cells) and
+        # 10 for tfe-sweep (2 x 5 cells): caps of one and 2.5 rows give
+        # blocks of 1 and 2, which write the bytes one block of the chunk writes
+        runner, blocks = experiments._run_cells, []
+
+        def recording(name, master, replicates, cells):
+            def record(cell):
+                def draw(seeds):
+                    blocks.append(len(seeds))
+                    return cell.draw(seeds)
+
+                return dataclasses.replace(cell, draw=draw)
+
+            return runner(name, master, replicates, [record(cell) for cell in cells])
+
+        monkeypatch.setattr(experiments, "_run_cells", recording)
+        cfg = ExperimentConfig(
+            experiment=name, seed=11, replicates=5, params=dict(TINY_PARAMS[name])
+        )
+        written = []
+        for cap in (experiments._BLOCK_DOUBLES, row_doubles, int(2.5 * row_doubles)):
+            monkeypatch.setattr(experiments, "_BLOCK_DOUBLES", cap)
+            csv_path, json_path = write_outputs(run_config(cfg), tmp_path / f"{cap}.csv")
+            written.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert blocks == [5] * cells + [1] * 5 * cells + [2, 2, 1] * cells
+        assert written[0] == written[1] == written[2]
+
+    @pytest.mark.parametrize("name", ["hurst-sweep", "tfe-sweep"])
+    def test_cell_failure_names_the_first_replicate(self, name, monkeypatch):
+        # a failed embedding depends on the cell alone: it stops the first
+        # block, at replicate 0, serially and pooled (caches cleared, so the
+        # embedding is sought again)
+        def failing(hurst, law, m):
+            raise NumericFailure(f"planted embedding failure at m={m}")
+
+        simulate._circulant_roots.cache_clear()
+        simulate._embedding_half_size.cache_clear()
+        monkeypatch.setattr(simulate, "_circulant_roots", failing)
+        messages = []
+        for threads in (1, 2):
+            cfg = ExperimentConfig(
+                experiment=name, seed=5, replicates=6, threads=threads,
+                params=dict(TINY_PARAMS[name]),
+            )
+            with pytest.raises(NumericFailure) as info:
+                run_config(cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"experiment '{name}' replicate 0: planted embedding failure")
+
     @pytest.mark.parametrize("dim, segments, level", [(3, 8, 3), (1, 2, 1), (2, 5, 2), (4, 3, 3)])
     @pytest.mark.parametrize("rows", [1, 3, 64])
     @pytest.mark.parametrize("entries", [1, None])
@@ -577,9 +667,9 @@ class TestRunConfig:
         # word pairs), so caps of 166 and 400 give blocks of 1 and 2
         kernel, blocks = experiments._signature_residual_rows, []
 
-        def recording(params, master, block):
-            blocks.append(len(block))
-            return kernel(params, master, block)
+        def recording(params, seeds):
+            blocks.append(len(seeds))
+            return kernel(params, seeds)
 
         monkeypatch.setattr(experiments, "_signature_residual_rows", recording)
         cfg = ExperimentConfig(experiment="signature-check", seed=11, replicates=5)
@@ -597,10 +687,10 @@ class TestRunConfig:
         # workers make chunks of one
         kernel = experiments._signature_residual_rows
 
-        def failing(params, master, block):
-            if 3 in block:
+        def failing(params, seeds):
+            if any(seed.replicate == 3 for seed in seeds):
                 raise NumericFailure("planted residual failure")
-            return kernel(params, master, block)
+            return kernel(params, seeds)
 
         monkeypatch.setattr(experiments, "_signature_residual_rows", failing)
         monkeypatch.setattr(experiments, "_BLOCK_DOUBLES", 400)

@@ -430,6 +430,34 @@ class TestPVariationNorm:
         assert math.isfinite(value)
         assert peak < 8 * 64 * (n + 1) * 8
 
+    def test_memory_does_not_grow_with_the_dimension(self):
+        # a block's norms are taken in pieces of at most _NORM_DOUBLES path
+        # differences: all 32 x 1025 x 100 of them at once peaked at 50.8 MB
+        z = np.cumsum(np.random.default_rng(24).standard_normal((1025, 100)), axis=0)
+        tracemalloc.start()
+        try:
+            value = p_variation_norm(z, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("nodes, dim", [(1025, 1), (513, 3), (257, 100), (65, 1000)])
+    def test_norm_pieces_leave_the_value_bit_identical(self, nodes, dim, monkeypatch):
+        # against the norms of each whole block at once, and in pieces of the
+        # default size and of one column
+        z = np.cumsum(np.random.default_rng(25).standard_normal((nodes, dim)), axis=0)
+
+        def whole_blocks(lo, hi):
+            return (np.linalg.norm(z[lo:hi, None] - z[:hi], axis=2) ** 2.5)[None]
+
+        want = float(signatures._pvar_sup(whole_blocks, nodes - 1, 1)[0]) ** (1.0 / 2.5)
+        got = [p_variation_norm(z, 2.5)]
+        monkeypatch.setattr(signatures, "_NORM_DOUBLES", 1)
+        got.append(p_variation_norm(z, 2.5))
+        assert [value.hex() for value in got] == [want.hex()] * 2
+
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_oversized_program_rejected_before_any_work(self, level):
         # the first node count whose `level` programs exceed PVAR_CAP cells
