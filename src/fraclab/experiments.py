@@ -371,7 +371,7 @@ def _run_cells(name: str, master: int, replicates: range, cells) -> list[ResultR
                 part[start : start + rows] = cell.draw([SeedSpec(master, r) for r in block])
         values.append(part.tolist())
     return [
-        ResultRow(experiment=name, replicate=r, statistic=statistic, value=value, **cell.columns)
+        ResultRow(name, r, statistic, value, **cell.columns)
         for j, r in enumerate(replicates)
         for cell, part in zip(cells, values)
         for statistic, value in zip(cell.statistics, part[j])

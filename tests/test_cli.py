@@ -250,6 +250,22 @@ class TestFitPipeline:
         assert payload["abs_error"] < 0.1
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_series_file_is_stdout_with_crlf_rows(capsys, tmp_path, command):
+    # the file holds csv's CRLF-terminated rows, stdout the same text in LF lines
+    data = tmp_path / "obs.csv"
+    write_traj_csv(data, 0.25 * np.arange(6), np.arange(6.0) ** 2 / 7)
+    args = {
+        "simulate": ("simulate", "--model", "fbm", "--delta", "0.1", "--count", "5"),
+        "calibrate": ("calibrate", "--data", str(data), "--theta", "0.5", "--sigma", "2.0"),
+    }[command]
+    rc, out, _ = run_cli(capsys, *args)
+    path = tmp_path / "series.csv"
+    rc2, out2, _ = run_cli(capsys, *args, "--out", str(path))
+    assert rc == rc2 == 0 and out2 == ""
+    assert path.read_bytes() == out.replace("\n", "\r\n").encode()
+
+
 class TestCalibrateCommand:
     def test_matches_library_exactly(self, capsys, tmp_path):
         rng = np.random.default_rng(8)

@@ -616,13 +616,10 @@ class TestRunConfig:
     @pytest.mark.parametrize("name", ["hurst-sweep", "tfe-sweep"])
     def test_cell_failure_names_the_first_replicate(self, name, monkeypatch):
         # a failed embedding depends on the cell alone: it stops the first
-        # block, at replicate 0, serially and pooled (caches cleared, so the
-        # embedding is sought again)
+        # block, at replicate 0, serially and pooled
         def failing(hurst, law, m):
             raise NumericFailure(f"planted embedding failure at m={m}")
 
-        simulate._circulant_roots.cache_clear()
-        simulate._embedding_half_size.cache_clear()
         monkeypatch.setattr(simulate, "_circulant_roots", failing)
         messages = []
         for threads in (1, 2):
