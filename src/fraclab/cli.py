@@ -93,8 +93,12 @@ def _read_trajectory(path) -> Trajectory:
         raise ConfigError(f"{path}: need at least two nodes")
     diffs = np.diff(times)
     delta = float(diffs.mean())
-    # written so that NaN fails it: finite times can still overflow a step
-    if not (delta > 0 and np.max(np.abs(diffs - delta)) <= 1e-9 * max(1.0, delta)):
+    # 1e-9 of a step, plus the rounding of written node times fl(k delta):
+    # each step, and so their mean, lies within an ulp of the last time of
+    # delta.  Written so that NaN fails it: finite times can still overflow
+    # a step
+    slack = 1e-9 * delta + 2.0 * np.spacing(max(abs(times[0]), abs(times[-1])))
+    if not (delta > 0 and np.max(np.abs(diffs - delta)) <= slack):
         raise ConfigError(f"{path}: time column is not a uniform grid")
     grid = SamplingGrid(delta=delta, count=len(times) - 1)
     return Trajectory(grid=grid, values=np.asarray(values))

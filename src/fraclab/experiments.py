@@ -304,7 +304,10 @@ def _resolve_params(name: str, defaults: dict, raw: dict) -> dict:
 
 
 def _slope(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
+    """Least-squares slope of log(ys) against log(xs); NaN (no rate, so every
+    slope flag reads false) below two distinct xs."""
+    if len(set(xs)) < 2:
+        return math.nan
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
 
 

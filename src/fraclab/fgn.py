@@ -3,8 +3,9 @@ built on it: a Gohberg-Semencul operator for the inverse covariance
 (solves and quadratic forms by FFT in O(N) memory; its generator comes
 from preconditioned conjugate gradients, with Durbin's recursion as the
 positive-definiteness certificate), its spectral norm, and the stationary
-Ornstein-Uhlenbeck autocovariance under fractional driving in closed form,
-with its power-law expansion.
+Ornstein-Uhlenbeck autocovariance r under fractional driving and its
+integral I, each in closed form below lag 40 and by one shared power-law
+expansion from there on.
 
 The increment autocovariance at step delta and lag k is
 
@@ -17,6 +18,7 @@ so gamma(0) = delta^(2H) and, for H = 1/2, gamma(k) = 0 for every k >= 1
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -367,32 +369,37 @@ def fou_autocovariance_expansion(
         raise ValueError(f"lag_over_eps must be positive, got {lag_over_eps}")
     if terms is not None and terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    a = 2.0 * hurst
+    out = 0.5 * sigma * sigma * _asymptotic_tail(2.0 * hurst, u, 2, terms)
+    return float(out) if out.ndim == 0 else out
+
+
+def _asymptotic_tail(a: float, u: np.ndarray, first: int, terms: int | None) -> np.ndarray:
+    """sum_{k = first, first + 2, ...} c_k u^(a-k), c_k = prod_{i<k} (a - i):
+    the power-law tail of r (first = 2) and of its integral I (first = 1).
+    ``terms=None`` sums, at each u, while the terms shrink and still change
+    the sum; else the first ``terms`` terms."""
     total = np.zeros_like(u)
     active = np.ones(u.shape, dtype=bool)
     last = np.full(u.shape, np.inf)
-    coeff = 1.0
-    n = 0
-    while active.any() and (terms is None or n < terms):
-        n += 1
-        coeff *= (a - (2 * n - 2)) * (a - (2 * n - 1))
-        term = coeff * u ** (a - 2 * n)
+    coeff = math.prod(a - i for i in range(first))
+    k = first
+    while active.any() and (terms is None or k < first + 2 * terms):
+        term = coeff * u ** (a - k)
         if terms is None:
             size = np.abs(term)
             active &= (size < last) & (size > _EPS * np.abs(total))
             last = size
         total += np.where(active, term, 0.0)
-    out = 0.5 * sigma * sigma * total
-    return float(out) if out.ndim == 0 else out
+        coeff *= (a - k) * (a - (k + 1))
+        k += 2
+    return total
 
 
-# r(u) is evaluated by its power series up to _SERIES_MAX_U (the series
-# cancels like e^u), in closed form below _EXPANSION_MIN_U, and by the
-# asymptotic expansion beyond, whose smallest term there is below 1e-14 of
-# the sum.
-_SERIES_MAX_U = 2.0
+# r(u) and I(x) are evaluated in closed form below _EXPANSION_MIN_U and by
+# their asymptotic expansions from there on, where the smallest term is below
+# 1e-14 of the sum (and e^x, which the closed forms scale by, would overflow
+# past 709).
 _EXPANSION_MIN_U = 40.0
-_SERIES_TERMS = 30  # u^60 / 60! < 1e-63 at u = 2
 _EPS = float(np.finfo(float).eps)
 
 
@@ -409,12 +416,13 @@ def unit_fou_autocovariance(hurst: float, lags) -> np.ndarray:
     terms in every power u^(a+k) give e^u P(a, u), the alternating ones
     Kummer's transform of u^a 1F1(1; a+1; -u) / Gamma(a+1).  So r(0) =
     H Gamma(2H) and r(u) = e^(-u) / 2 at H = 1/2.  At lam and beta the
-    covariance is beta^2 lam^(-2H) r(lam s).  The series serves u <= 2, the
-    closed form u < 40 and the asymptotic expansion the rest.  The error is
+    covariance is beta^2 lam^(-2H) r(lam s).  Two regimes: the closed form
+    below u = 40 and the asymptotic expansion from there on.  The error is
     at most 1e-12 |r(u)| + 1e-14 r(0) at every H: 1e-12 relative away from
     H = 1/2 and from the zero r crosses for H < 1/2, and 1e-14 r(0) absolute
     near H = 1/2, where r ~ e^(-u)/2 + H(2H-1) u^(2H-2) is small against the
     closed form's two halves, each of order u^(2H-1), that cancel to it.
+    Its integral I is ``_unit_fou_integral``.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -423,38 +431,38 @@ def unit_fou_autocovariance(hurst: float, lags) -> np.ndarray:
         raise ValueError("lags must be non-negative")
     if hurst == 0.5:
         return 0.5 * np.exp(-u)
-    a = 2.0 * hurst
     out = np.empty_like(u)
-
-    small = u <= _SERIES_MAX_U
-    us = u[small]
-    u2 = us * us
-    cosh_term = np.ones_like(us)
-    power_term = us**a / gamma_fn(a + 1.0)
-    total = cosh_term - power_term
-    for n in range(_SERIES_TERMS):
-        cosh_term *= u2 / ((2 * n + 1) * (2 * n + 2))
-        power_term *= u2 / ((a + 2 * n + 1) * (a + 2 * n + 2))
-        total += cosh_term - power_term
-    out[small] = 0.5 * gamma_fn(a + 1.0) * total
-    out[u == 0.0] = stationary_fou_variance(hurst, 1.0, 1.0)
-
     large = u >= _EXPANSION_MIN_U
     out[large] = fou_autocovariance_expansion(hurst, 1.0, u[large], None)
-
-    middle = ~(small | large)
-    out[middle] = _fou_closed_form(hurst, u[middle])
+    out[~large] = _fou_closed_form(hurst, u[~large])
+    out[u == 0.0] = stationary_fou_variance(hurst, 1.0, 1.0)
     return out
 
 
 def _fou_closed_form(hurst: float, u: np.ndarray) -> np.ndarray:
-    """r(u) at 0 < u < 709 by ``unit_fou_autocovariance``'s incomplete-gamma
+    """r(u) at 0 <= u < 709 by ``unit_fou_autocovariance``'s incomplete-gamma
     and Kummer form, one numpy expression."""
     a = 2.0 * hurst
     scale = gamma_fn(a + 1.0)
     return 0.25 * scale * (
         np.exp(u) * gammaincc(a, u) + np.exp(-u) * (1.0 - u**a * hyp1f1(a, a + 1.0, u) / scale)
     )
+
+
+def _unit_fou_integral(hurst: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """I(x) = int_0^x r at x >= 0, given r(x), r the unit fOU autocovariance:
+    [e^x Gamma(2H+1, x) - x^(2H)] / 2 - r(x), from Y_t = int_0^inf e^-u
+    (B_t - B_(t-u)) du, below _EXPANSION_MIN_U.  From there on the even
+    terms of its asymptotic expansion cancel r's, leaving
+    0.5 sum_j c_(2j+1) x^(2H-2j-1) (``_asymptotic_tail``)."""
+    a = 2.0 * hurst
+    out = np.empty_like(x)
+    small = x < _EXPANSION_MIN_U
+    xs = x[small]
+    upper = gamma_fn(a + 1.0) * gammaincc(a + 1.0, xs)
+    out[small] = 0.5 * (np.exp(xs) * upper - xs**a) - r[small]
+    out[~small] = 0.5 * _asymptotic_tail(a, x[~small], 1, None)
+    return out
 
 
 def stationary_fou_variance(hurst: float, lam: float, beta: float) -> float:

@@ -32,10 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
-from .fgn import unit_autocovariance, unit_fou_autocovariance
+from .fgn import _unit_fou_integral, unit_autocovariance, unit_fou_autocovariance
 from .grids import (
     STREAM_BROWNIAN,
     STREAM_DRIVER,
@@ -78,9 +76,6 @@ _MAX_SUBSTEPS = 2**20
 _MAX_BURN_IN_CELLS = 2**20
 # Embedding eigenvalue floor, relative to each component's largest one.
 _EMBEDDING_FLOOR = -1e-8
-# The fOU integral's asymptotic expansion is summed from this argument on,
-# where its first 20 terms all shrink.
-_INTEGRAL_EXPANSION_MIN_X = 40.0
 # Lags per block when a cell-sum autocovariance is evaluated: bounds its
 # transient memory at about this many doubles per temporary.
 _LAG_BLOCK = 2**16
@@ -105,22 +100,16 @@ class _FastSlowPair(NamedTuple):
 _Law = float | _CellSum | _FastSlowPair
 
 
-@functools.lru_cache(maxsize=8)
-def _fou_row(hurst: float, ratio: float, size: int) -> np.ndarray:
-    """r(k / ratio), k < size, r the unit fOU autocovariance; cached, as the
-    slow and pair laws read the same lags."""
-    row = unit_fou_autocovariance(hurst, np.arange(size) / ratio)
-    row.flags.writeable = False
-    return row
-
-
-def _slow_unit_autocovariance(hurst: float, ratio: float, m: int) -> np.ndarray:
+def _slow_unit_autocovariance(
+    hurst: float, ratio: float, m: int, r: np.ndarray | None = None
+) -> np.ndarray:
     """g(0..m): autocovariance of the slow component's node increments in
     units of sigma^2 delta^(2H), at ratio = eps/delta (0 gives unit fGn):
 
         g(k) = gamma_1(k) + ratio^(2H) [r((k+1)/ratio) - 2 r(k/ratio) + r(|k-1|/ratio)],
 
-    with r the unit stationary fOU autocovariance.  X_t - X_0 =
+    with r the unit stationary fOU autocovariance, given as ``r`` at lags
+    k / ratio, k <= m + 1, or evaluated here.  X_t - X_0 =
     sigma B^H_t - eps^H (Y_t - Y_0) has stationary increments; its cross
     terms with B^H equal twice the Y-increment covariance by time
     reversibility, which leaves the second difference of r with a plus sign.
@@ -132,7 +121,8 @@ def _slow_unit_autocovariance(hurst: float, ratio: float, m: int) -> np.ndarray:
             scale = np.float64(ratio) ** (2.0 * hurst)
         if not np.isfinite(scale):
             raise ValueError(f"(eps/delta)^(2H) is not finite at eps/delta={ratio}")
-        r = _fou_row(hurst, ratio, m + 2)
+        if r is None:
+            r = unit_fou_autocovariance(hurst, np.arange(m + 2) / ratio)
         row += scale * (r[1:] - 2.0 * r[:-1] + r[np.abs(lags - 1)])
     return row
 
@@ -158,41 +148,22 @@ def _cell_unit_autocovariance(hurst: float, law: _CellSum, m: int) -> np.ndarray
     return row
 
 
-def _unit_fou_integral(hurst: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """I(x) = int_0^x r at x >= 0, given r(x), r the unit fOU autocovariance:
-    [e^x Gamma(2H+1, x) - x^(2H)] / 2 - r(x), from Y_t = int_0^inf e^-u
-    (B_t - B_(t-u)) du.  From _INTEGRAL_EXPANSION_MIN_X on (e^x overflows
-    past 709) the even terms of its asymptotic series cancel r's, leaving
-    0.5 sum_j c_(2j+1) x^(2H-2j-1), c_k = prod_(i<k) (2H - i)."""
-    a = 2.0 * hurst
-    out = np.empty_like(x)
-    small = x < _INTEGRAL_EXPANSION_MIN_X
-    xs = x[small]
-    upper = gamma_fn(a + 1.0) * gammaincc(a + 1.0, xs)
-    out[small] = 0.5 * (np.exp(xs) * upper - xs**a) - r[small]
-    xl = x[~small]
-    total = np.zeros_like(xl)
-    coeff = a
-    for j in range(20):
-        total += coeff * xl ** (a - 2 * j - 1)
-        coeff *= (a - 2 * j - 1) * (a - 2 * j - 2)
-    out[~small] = 0.5 * total
-    return out
-
-
 def _pair_unit_spectrum(hurst: float, ratio: float, m: int) -> np.ndarray:
     """(m+1, 2, 2) spectrum of the 2m-circulant embedding of the
     :class:`_FastSlowPair` law (Y_k, D_k), D_k the slow increment over cell
     k+1: Cov(Y_j, Y_(j+l)) = r(|l| / ratio), Cov(D_j, D_(j+l)) = g(|l|)
     (``_slow_unit_autocovariance``) and, since X_t - X_0 = eps^(H-1) int Y,
-    Cov(Y_j, D_(j+l)) = ratio^H [I((l+1) / ratio) - I(l / ratio)] with I
-    (``_unit_fou_integral``) odd: symmetric about lag -1/2, so its circulant
-    row wraps at lag m onto the mean of lags m and -m.  Entry [a, b] is
-    conj(DFT(c_ab)) / 2m: an inverse real FFT of G w, G G^H = spectrum and
-    w complex normal, has covariance c."""
-    r = _fou_row(hurst, ratio, m + 2)
-    fast, slow = r[: m + 1], _slow_unit_autocovariance(hurst, ratio, m)
-    cross = ratio**hurst * np.diff(_unit_fou_integral(hurst, np.arange(m + 2) / ratio, r))
+    Cov(Y_j, D_(j+l)) = ratio^H [I((l+1) / ratio) - I(l / ratio)] with
+    I = int_0 r (``fgn._unit_fou_integral``: the closed form below 40, the
+    asymptotic tail it shares with r from there on).  I is odd, so the cross
+    row is symmetric about lag -1/2 and its circulant row wraps at lag m
+    onto the mean of lags m and -m.  r is evaluated once, for all three
+    rows.  Entry [a, b] is conj(DFT(c_ab)) / 2m: an inverse real FFT of
+    G w, G G^H = spectrum and w complex normal, has covariance c."""
+    x = np.arange(m + 2) / ratio
+    r = unit_fou_autocovariance(hurst, x)
+    fast, slow = r[: m + 1], _slow_unit_autocovariance(hurst, ratio, m, r)
+    cross = ratio**hurst * np.diff(_unit_fou_integral(hurst, x, r))
     cross_row = np.concatenate(
         [cross[:m], [0.5 * (cross[m] + cross[m - 1])], cross[: m - 1][::-1]]
     )

@@ -218,6 +218,22 @@ class TestFitPipeline:
         payload = json.loads(out)
         assert payload["sigma2_hat"] == pytest.approx(4.0, rel=0.3)
 
+    def test_tiny_step_reads_back(self, capsys, tmp_path):
+        # the written times fl(k delta) pass as a uniform grid at delta = 1e-10
+        path = tmp_path / "tiny.csv"
+        rc, _, _ = run_cli(
+            capsys, "simulate", "--model", "fbm", "--hurst", "0.3",
+            "--delta", "1e-10", "--count", "4000", "--seed", "5", "--out", str(path),
+        )
+        assert rc == 0
+        rc, out, err = run_cli(
+            capsys, "estimate-sigma", "--data", str(path), "--hurst", "0.3"
+        )
+        assert rc == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["delta"] == pytest.approx(1e-10, rel=1e-12)
+        assert payload["count"] == 4000
+
     def test_estimate_hurst(self, capsys, tmp_path):
         path = tmp_path / "fine.csv"
         run_cli(
@@ -477,9 +493,13 @@ class TestExitCodes:
         assert rc == 2
         assert "expected header" in err
 
-    def test_non_uniform_grid_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_non_uniform_grid_rejected(self, capsys, tmp_path, scale):
+        # the tolerance is relative to the step: at the 1e-9 scale every
+        # step is within an absolute 1e-9 of the mean
         path = tmp_path / "warped.csv"
-        write_traj_csv(path, [0.0, 0.1, 0.35, 0.4], [0.0, 1.0, 2.0, 3.0])
+        times = [scale * t for t in (0.0, 0.1, 0.35, 0.4)]
+        write_traj_csv(path, times, [0.0, 1.0, 2.0, 3.0])
         rc, _, err = run_cli(
             capsys, "estimate-sigma", "--data", str(path), "--hurst", "0.7"
         )

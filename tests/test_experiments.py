@@ -344,7 +344,6 @@ class TestRunConfig:
         assert result.summary["replicates"] == 2
         assert {row.replicate for row in result.rows} == {0, 1}
 
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
     def test_single_value_becomes_tuple(self):
         cfg = ExperimentConfig(
             experiment="expansion-residual",
@@ -353,6 +352,31 @@ class TestRunConfig:
         )
         result = run_config(cfg)
         assert result.params["sweep.deltas"] == (0.1,)
+
+    @pytest.mark.parametrize(
+        "name, key, value, slope, flag",
+        [
+            ("expansion-residual", "sweep.deltas", "0.1", "slope", "slope_within_0p3"),
+            ("consistency-rate", "sweep.eps_log2", "-6", "slope", "slope_within_0p15"),
+            ("tfe-sweep", "sweep.avg_eps_log2", "-4", "averaging_slope", "averaging_slope_ok"),
+        ],
+    )
+    def test_slope_over_one_sweep_value_is_undefined(
+        self, name, key, value, slope, flag, tmp_path
+    ):
+        # a log-log line through one point has no slope: NaN, written as
+        # null, with its flag false and no fit attempted (a RankWarning
+        # would fail the test)
+        params = {**TINY_PARAMS[name], key: value}
+        result = run_config(
+            ExperimentConfig(experiment=name, seed=5, replicates=5, params=params)
+        )
+        assert math.isnan(result.summary[slope])
+        assert result.summary[flag] is False
+        _, json_path = write_outputs(result, tmp_path / "res.csv")
+        summary = json.loads(json_path.read_text())
+        assert summary[slope] is None and summary[flag] is False
+        assert math.isnan(experiments._slope([0.1, 0.1], [1.0, 2.0]))
 
     def test_deterministic_and_seed_sensitive(self):
         cfg = ExperimentConfig(
@@ -386,7 +410,6 @@ class TestRunConfig:
         assert serial.rows == threaded.rows
         assert serial.summary == threaded.summary
 
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
     @pytest.mark.parametrize("name", experiment_names())
     def test_serial_and_parallel_outputs_are_byte_identical(self, name, tmp_path):
         # compare the written bytes, not the dicts: a NaN in the summary
@@ -579,7 +602,6 @@ class TestRunConfig:
         ]
         assert got == want
 
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
     @pytest.mark.parametrize(
         "name, row_doubles, cells", [("hurst-sweep", 256, 2), ("tfe-sweep", 10, 3)]
     )
@@ -833,7 +855,6 @@ class TestWriteOutputs:
         assert summary["experiment"] == "expansion-residual"
         assert summary == json.loads(json.dumps(result.summary))
 
-    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
     @pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0")
     @pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide")
     @pytest.mark.parametrize("replicates", [1, 3])

@@ -510,9 +510,9 @@ class TestPhysicalFbm:
 
 
 class TestFouAutocovariance:
-    # every branch of r: the series (u <= 2), the closed form (2 < u < 40)
-    # and the asymptotic expansion (u >= 40)
-    LAGS = np.concatenate([np.geomspace(1e-3, 2.0, 12), np.linspace(2.1, 59.9, 28)])
+    # both branches of r: the closed form (0 < u < 40) and the asymptotic
+    # expansion (u >= 40)
+    LAGS = np.concatenate([np.geomspace(1e-8, 2.0, 12), np.linspace(2.1, 59.9, 28)])
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
     def test_matches_hyp1f2(self, hurst):
@@ -525,12 +525,12 @@ class TestFouAutocovariance:
         "hurst", [1e-3, 0.45, 0.49, 0.499, 0.4999, 0.5001, 0.501, 0.51, 0.55, 0.999]
     )
     def test_error_bound(self, hurst):
-        # the docstring's bound, 1e-12 |r| + 1e-14 r(0), on every branch:
+        # the docstring's bound, 1e-12 |r| + 1e-14 r(0), on both branches:
         # relative away from H = 1/2, absolute near it, where r is small
         # against the closed form's cancelling halves (and H = 0.45 has r's
         # zero inside (2, 40))
         pytest.importorskip("mpmath")
-        lags = np.concatenate([np.geomspace(1e-3, 2.0, 6), np.geomspace(2.05, 39.9, 30), [45.0]])
+        lags = np.concatenate([np.geomspace(1e-8, 2.0, 12), np.geomspace(2.05, 39.9, 30), [45.0]])
         got = unit_fou_autocovariance(hurst, lags)
         expected = np.array([fou_autocovariance_hyp1f2(hurst, u) for u in lags])
         bound = 1e-12 * np.abs(expected) + 1e-14 * stationary_fou_variance(hurst, 1.0, 1.0)
@@ -540,7 +540,7 @@ class TestFouAutocovariance:
     def test_finite_next_to_half(self, hurst):
         # r ~ e^(-u)/2 there, tiny against the closed form's cancelling
         # halves, and must come out finite and without an exception
-        lags = np.linspace(2.01, 39.99, 200)
+        lags = np.linspace(0.01, 39.99, 200)
         got = unit_fou_autocovariance(hurst, lags)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, 0.5 * np.exp(-lags), rtol=0.0, atol=1e-4)
@@ -576,13 +576,14 @@ class TestFouAutocovariance:
 
 class TestFouIntegral:
     # I(x) = int_0^x r: the incomplete-gamma form below x = 40, the
-    # asymptotic expansion from 40 on (e^x overflows from x = 710 on)
+    # asymptotic tail shared with r from 40 on, summed until its terms stop
+    # shrinking or changing the sum (e^x overflows from x = 710 on)
     LAGS = np.concatenate([np.geomspace(1e-3, 39.0, 12), [40.0, 60.0, 300.0, 709.0, 710.0, 1000.0]])
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.95])
     def test_matches_hyp1f2(self, hurst):
         pytest.importorskip("mpmath")
-        got = simulate._unit_fou_integral(
+        got = fgn._unit_fou_integral(
             hurst, self.LAGS, unit_fou_autocovariance(hurst, self.LAGS)
         )
         expected = [fou_integral_hyp1f2(hurst, x) for x in self.LAGS]
@@ -590,7 +591,7 @@ class TestFouIntegral:
 
     def test_half_is_closed_form(self):
         x = np.concatenate([np.linspace(0.0, 39.5, 80), [40.0, 800.0]])
-        got = simulate._unit_fou_integral(0.5, x, 0.5 * np.exp(-x))
+        got = fgn._unit_fou_integral(0.5, x, 0.5 * np.exp(-x))
         np.testing.assert_allclose(got, -0.5 * np.expm1(-x), rtol=1e-13, atol=1e-16)
 
 
@@ -619,6 +620,18 @@ class TestSlowComponent:
         g = 0.25**1.4 * simulate._slow_unit_autocovariance(0.7, 0.2, 5)
         np.testing.assert_allclose(
             g, [0.12831, 0.05286, 0.02752, 0.02109, 0.01763, 0.01538], atol=6e-6
+        )
+
+    @pytest.mark.parametrize(
+        "hurst, ratio, m", [(0.3, 0.2, 5), (0.5, 10.0, 1), (0.7, 2.0, 64), (0.95, 0.01, 8)]
+    )
+    def test_supplied_r_is_the_evaluated_one(self, hurst, ratio, m):
+        # the pair law hands the slow row the r it has evaluated: the same
+        # row, bit for bit, as the slow law evaluating r itself
+        r = unit_fou_autocovariance(hurst, np.arange(m + 2) / ratio)
+        np.testing.assert_array_equal(
+            simulate._slow_unit_autocovariance(hurst, ratio, m, r),
+            simulate._slow_unit_autocovariance(hurst, ratio, m),
         )
 
     @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
